@@ -21,15 +21,8 @@ from .quiver import (
     trivial_path,
 )
 from .dsl import parse_presentation, serialize_presentation
-from .rewrite import (
-    QuotientAlgebra,
-    ReductionSystem,
-    check_confluence,
-    complete,
-    normal_form,
-    quotient_algebra,
-)
-from .linalg import SparseMatrix, SubspaceBasis, echelon, quotient_coords
+from .rewrite import QuotientAlgebra, ReductionSystem, quotient_algebra
+from .linalg import SparseMatrix, SubspaceBasis, echelon
 from .hochschild import (
     CohomologyClass,
     HHReport,
@@ -37,10 +30,8 @@ from .hochschild import (
     RelativeBarComplex,
     SmallComplex,
     SmallComplexUnavailable,
-    bracket,
-    build_bar_complex,
     build_small_complex,
-    cup,
+    d_squared_zero,
     hh_classes,
     hh_report,
 )

@@ -34,25 +34,13 @@ from .errors import (
 )
 from .fields import field_parse
 from .hochschild import HochschildCohomology
+from .hochschild import d_squared_zero as _d_squared_zero
 from .sl2 import PsiTensor, format_psi, jj_dim, kernel_model_dims, parse_psi, stab_dim
 
 EXIT_PARSE = 2
 EXIT_NONCONFLUENT = 3
 EXIT_INFINITE = 4
 EXIT_INTERNAL = 5
-
-
-def _d_squared_zero(bar):
-    f = bar.field
-    for n in range(bar.nmax):
-        dn, dn1 = bar.differential(n), bar.differential(n + 1)
-        cols = {}
-        for (r, c), v in dn.entries.items():
-            cols.setdefault(c, {})[r] = v
-        for c, vec in cols.items():
-            if dn1.apply(vec):
-                return False
-    return True
 
 
 def build_report(pres, nmax, field, family=None, file=None, params=None, seed=None):

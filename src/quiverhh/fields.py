@@ -78,14 +78,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
-    def arith(self, a, b, op: str):
-        """Dispatch one of add/sub/mul/div by name."""
-        try:
-            fn = {"add": self.add, "sub": self.sub, "mul": self.mul, "div": self.div}[op]
-        except KeyError:
-            raise FieldError(f"unknown operation {op!r}")
-        return fn(a, b)
-
     def parse_scalar(self, text: str):
         raise NotImplementedError
 

@@ -16,7 +16,7 @@ canonical: cocycles are reduced against the coboundary image in echelon form.
 from __future__ import annotations
 
 from .errors import ConsistencyError, EngineError
-from .linalg import SparseMatrix, column_space, echelon, rref, vec_add
+from .linalg import SparseMatrix, column_space, combine, echelon, rref, vec_add, vec_iadd
 from .quiver import Path
 from .rewrite import QuotientAlgebra, quotient_algebra
 
@@ -56,9 +56,6 @@ class RelativeBarComplex:
         self.field = algebra.field
         self.nmax = nmax
         A = algebra
-        self.by_endpoints = {}
-        for i, p in enumerate(A.basis):
-            self.by_endpoints.setdefault((p.source, p.target), []).append(i)
 
         # tuples[n]: composable n-tuples of radical basis indices (first entry
         # acts last); tuples[0] is the vertex list.
@@ -85,15 +82,9 @@ class RelativeBarComplex:
         self.pair_index = {}
         for n in self.tuples:
             plist = []
-            if n == 0:
-                for v in self.tuples[0]:
-                    for b in self.by_endpoints.get((v, v), ()):
-                        plist.append((v, b))
-            else:
-                for ti, t in enumerate(self.tuples[n]):
-                    ends = (self._tuple_source(t), self._tuple_target(t))
-                    for b in self.by_endpoints.get(ends, ()):
-                        plist.append((ti, b))
+            for ti, t in enumerate(self.tuples[n]):
+                for b in self._values(n, t):
+                    plist.append((ti, b))
             self.pairs[n] = plist
             self.pair_index[n] = {p: k for k, p in enumerate(plist)}
 
@@ -106,6 +97,11 @@ class RelativeBarComplex:
 
     def _tuple_target(self, t):
         return self.algebra.target(t[0])
+
+    def _values(self, n, t):
+        """Basis indices a degree-n cochain may take on t (a vertex when n = 0)."""
+        ends = (t, t) if n == 0 else (self._tuple_source(t), self._tuple_target(t))
+        return self.algebra.by_endpoints.get(ends, ())
 
     def dim(self, n):
         return len(self.pairs.get(n, ()))
@@ -130,11 +126,10 @@ class RelativeBarComplex:
             rest = t[1:]
             if n == 0:
                 v = A.source(x1)
-                cols = [(v, b) for b in self.by_endpoints.get((v, v), ())]
+                cols = [(v, b) for b in A.parallel(v, v)]
             else:
                 ri = self.tuple_index[n][rest]
-                ends = (self._tuple_source(rest), self._tuple_target(rest))
-                cols = [(ri, b) for b in self.by_endpoints.get(ends, ())]
+                cols = [(ri, b) for b in self._values(n, rest)]
             for col_key in cols:
                 col = self.pair_index[n][col_key]
                 for k, c in A.mul_basis(x1, col_key[1]).items():
@@ -151,7 +146,7 @@ class RelativeBarComplex:
                     u = t[:i] + (k,) + t[i + 2 :]
                     ui = self.tuple_index[n][u]
                     sc = f.mul(s, c)
-                    for b in self._parallel_values(n, u):
+                    for b in self._values(n, u):
                         row = self.pair_index[n + 1].get((ti, b))
                         if row is not None:
                             m.add(row, self.pair_index[n][(ui, b)], sc)
@@ -161,21 +156,16 @@ class RelativeBarComplex:
             front = t[:-1]
             if n == 0:
                 v = A.target(xl)
-                cols = [(v, b) for b in self.by_endpoints.get((v, v), ())]
+                cols = [(v, b) for b in A.parallel(v, v)]
             else:
                 fi = self.tuple_index[n][front]
-                ends = (self._tuple_source(front), self._tuple_target(front))
-                cols = [(fi, b) for b in self.by_endpoints.get(ends, ())]
+                cols = [(fi, b) for b in self._values(n, front)]
             for col_key in cols:
                 col = self.pair_index[n][col_key]
                 for k, c in A.mul_basis(col_key[1], xl).items():
                     m.add(self.pair_index[n + 1][(ti, k)], col, f.mul(s, c))
         self._diff[n] = m
         return m
-
-    def _parallel_values(self, n, t):
-        ends = (self._tuple_source(t), self._tuple_target(t))
-        return self.by_endpoints.get(ends, ())
 
     def _echelon(self, n):
         if n not in self._ech:
@@ -232,12 +222,7 @@ class RelativeBarComplex:
     def eval_pairs(self, vec, n, tuple_idx):
         """Value of the cochain on one tuple, as {basis index: coeff}."""
         out = {}
-        f = self.field
-        for b in (
-            self.by_endpoints.get((self.tuples[0][tuple_idx],) * 2, ())
-            if n == 0
-            else self._parallel_values(n, self.tuples[n][tuple_idx])
-        ):
+        for b in self._values(n, self.tuples[n][tuple_idx]):
             c = vec.get(self.pair_index[n].get((tuple_idx, b)))
             if c is not None:
                 out[b] = c
@@ -245,63 +230,34 @@ class RelativeBarComplex:
 
     def cup_cochain(self, fvec, p, gvec, q):
         """(f cup g)(x1..x_{p+q}) = f(x1..xp) * g(x_{p+1}..x_{p+q})."""
-        A = self.algebra
-        f = self.field
         n = p + q
         if n > self.nmax + 1:
             raise EngineError("cup lands beyond the computed window")
         out = {}
-        if n == 0:
-            for v in self.tuples[0]:
-                fvals = self.eval_pairs(fvec, 0, v)
-                gvals = self.eval_pairs(gvec, 0, v)
-                for b1, c1 in fvals.items():
-                    for b2, c2 in gvals.items():
-                        for k, e in A.mul_basis(b1, b2).items():
-                            row = self.pair_index[0].get((v, k))
-                            if row is None:
-                                continue
-                            s = f.add(out.get(row, f.zero()), f.mul(f.mul(c1, c2), e))
-                            if f.is_zero(s):
-                                out.pop(row, None)
-                            else:
-                                out[row] = s
-            return out
         for ti, t in enumerate(self.tuples[n]):
-            fvals = self._segment_values(fvec, p, t[:p], at_target=True, whole=t)
+            fvals = self._segment_values(fvec, p, t, 0)
             if not fvals:
                 continue
-            gvals = self._segment_values(gvec, q, t[p:], at_target=False, whole=t)
+            gvals = self._segment_values(gvec, q, t, p)
             if not gvals:
                 continue
-            for v, cv in fvals.items():
-                for w, cw in gvals.items():
-                    c = f.mul(cv, cw)
-                    for k, e in A.mul_basis(v, w).items():
-                        row = self.pair_index[n].get((ti, k))
-                        if row is None:
-                            continue
-                        s = f.add(out.get(row, f.zero()), f.mul(c, e))
-                        if f.is_zero(s):
-                            out.pop(row, None)
-                        else:
-                            out[row] = s
+            # the product is parallel to t, so every row exists and is t's own
+            for k, c in self.algebra.mul_vec(fvals, gvals).items():
+                out[self.pair_index[n][(ti, k)]] = c
         return out
 
-    def _segment_values(self, vec, seglen, seg, at_target, whole):
-        """Cochain values on a tuple segment; degree 0 reads the junction vertex."""
-        if seglen == 0:
-            if whole:
-                v = self._tuple_target(whole) if at_target else self._tuple_source(whole)
-            else:
-                v = None
-            ti = self.tuple_index[0].get(v) if v is not None else None
+    def _segment_values(self, vec, seglen, t, pos):
+        """Cochain values on t[pos : pos + seglen].  Degree 0 reads the vertex
+        where the segment sits: t itself when t is a vertex, else the target
+        of t at the front and its source at the back."""
+        if seglen:
+            ti = self.tuple_index[seglen].get(t[pos : pos + seglen])
             if ti is None:
                 return {}
-            return self.eval_pairs(vec, 0, ti)
-        ti = self.tuple_index[seglen].get(seg)
-        if ti is None:
-            return {}
+        elif isinstance(t, int):
+            ti = t
+        else:
+            ti = self._tuple_target(t) if pos == 0 else self._tuple_source(t)
         return self.eval_pairs(vec, seglen, ti)
 
     def circle_cochain(self, fvec, p, gvec, q):
@@ -316,6 +272,7 @@ class RelativeBarComplex:
         minus_one = f.from_int(-1)
         out = {}
         for ti, t in enumerate(self.tuples[n]):
+            vals = {}
             for i in range(p):  # insertion slot, 0-based
                 window = t[i : i + q]
                 wi = self.tuple_index[q].get(window)
@@ -333,16 +290,11 @@ class RelativeBarComplex:
                     if ui is None:
                         continue
                     fvals = self.eval_pairs(fvec, p, ui)
-                    for v, cv in fvals.items():
-                        row = self.pair_index[n].get((ti, v))
-                        if row is None:
-                            continue
-                        c = f.mul(sign, f.mul(cw, cv))
-                        s = f.add(out.get(row, f.zero()), c)
-                        if f.is_zero(s):
-                            out.pop(row, None)
-                        else:
-                            out[row] = s
+                    if fvals:
+                        vec_iadd(f, vals, fvals, f.mul(sign, cw))
+            # u is parallel to t, so every row exists and is t's own
+            for v, c in vals.items():
+                out[self.pair_index[n][(ti, v)]] = c
         return out
 
     def cup(self, fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
@@ -381,23 +333,18 @@ class SmallComplex:
                 raise SmallComplexUnavailable("reduction system is not quadratic")
         self.algebra = A
         self.field = A.field
-        by_endpoints = {}
-        for i, p in enumerate(A.basis):
-            by_endpoints.setdefault((p.source, p.target), []).append(i)
 
         self.term0 = []
         for v in range(quiver.n_vertices):
-            for b in by_endpoints.get((v, v), ()):
+            for b in A.parallel(v, v):
                 self.term0.append((v, b))
         self.term1 = []
         for a in range(quiver.n_arrows):
-            ends = (quiver.arrow_source[a], quiver.arrow_target[a])
-            for b in by_endpoints.get(ends, ()):
+            for b in A.parallel(quiver.arrow_source[a], quiver.arrow_target[a]):
                 self.term1.append((a, b))
         self.term2 = []
         for k, r in enumerate(rules):
-            ends = (r.leading.source, r.leading.target)
-            for b in by_endpoints.get(ends, ()):
+            for b in A.parallel(r.leading.source, r.leading.target):
                 self.term2.append((k, b))
         t0 = {p: i for i, p in enumerate(self.term0)}
         t1 = {p: i for i, p in enumerate(self.term1)}
@@ -428,14 +375,14 @@ class SmallComplex:
                 mid = quiver.arrow_target[a_first]
                 second_idx = A.index[Path(quiver, mid, (a_second,))]
                 # substitute into the later arrow: f(a2) * a1
-                for b in by_endpoints.get((mid, word.target), ()):
+                for b in A.parallel(mid, word.target):
                     col = t1.get((a_second, b))
                     if col is None:
                         continue
                     for kk, c in A.mul_basis(b, first_idx).items():
                         d1.add(t2[(k, kk)], col, f.mul(cw, c))
                 # substitute into the earlier arrow: a2 * f(a1)
-                for b in by_endpoints.get((word.start, mid), ()):
+                for b in A.parallel(word.start, mid):
                     col = t1.get((a_first, b))
                     if col is None:
                         continue
@@ -541,6 +488,16 @@ class HochschildCohomology:
         return span.dim
 
 
+def d_squared_zero(bar) -> bool:
+    """True when d^{n+1} d^n = 0 for every n < nmax, checked column by column."""
+    for n in range(bar.nmax):
+        later = bar.differential(n + 1).columns()
+        for col in bar.differential(n).columns().values():
+            if combine(bar.field, later, col):
+                return False
+    return True
+
+
 def hh_report(presentation, nmax=3) -> HHReport:
     return HochschildCohomology(presentation, nmax).report()
 
@@ -550,19 +507,7 @@ def hh_classes(presentation, n, nmax=None):
     return eng.classes(n)
 
 
-def build_bar_complex(algebra, nmax=3) -> RelativeBarComplex:
-    return RelativeBarComplex(algebra, nmax)
-
-
 def build_small_complex(presentation, algebra=None) -> SmallComplex:
     if algebra is None:
         algebra = quotient_algebra(presentation)
     return SmallComplex(algebra)
-
-
-def cup(fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
-    return fc.complex.cup(fc, gc)
-
-
-def bracket(fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
-    return fc.complex.bracket(fc, gc)

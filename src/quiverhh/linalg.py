@@ -1,6 +1,9 @@
 """Exact sparse linear algebra over the field contract.
 
-Vectors are dicts {column: nonzero scalar}.  Elimination is plain
+Vectors are dicts {column: nonzero scalar}: a sparse vector never stores a
+zero.  ``vec_iadd`` is the one place that adds into a sparse vector, so it is
+the one place that maintains the invariant; ``SubspaceBasis.reduce`` and
+``rref`` drop zeros from the vectors they are given.  Elimination is plain
 Gauss-Jordan with unit pivots; over the rationals Fraction keeps every entry
 reduced, which bounds coefficient growth at the sizes this engine meets.
 """
@@ -10,17 +13,24 @@ from __future__ import annotations
 from .errors import EngineError
 
 
-def vec_add(field, u: dict, v: dict, c=None):
-    """u + c*v (c defaults to 1)."""
-    out = dict(u)
+def vec_iadd(field, out: dict, v: dict, c=None):
+    """out += c*v in place (c defaults to 1), storing no zero; returns out."""
     for k, x in v.items():
-        y = x if c is None else field.mul(c, x)
-        s = field.add(out.get(k, field.zero()), y)
-        if field.is_zero(s):
+        if c is not None:
+            x = field.mul(c, x)
+        cur = out.get(k)
+        if cur is not None:
+            x = field.add(cur, x)
+        if field.is_zero(x):
             out.pop(k, None)
         else:
-            out[k] = s
+            out[k] = x
     return out
+
+
+def vec_add(field, u: dict, v: dict, c=None):
+    """u + c*v (c defaults to 1)."""
+    return vec_iadd(field, dict(u), v, c)
 
 
 def vec_scale(field, u: dict, c):
@@ -42,17 +52,19 @@ class SparseMatrix:
     def add(self, r, c, v):
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise EngineError("matrix index out of range")
-        f = self.field
-        s = f.add(self.entries.get((r, c), f.zero()), v)
-        if f.is_zero(s):
-            self.entries.pop((r, c), None)
-        else:
-            self.entries[(r, c)] = s
+        vec_iadd(self.field, self.entries, {(r, c): v})
 
     def rows(self):
         out = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
+        return out
+
+    def columns(self):
+        """Column vectors {col: {row: value}}, read straight from the entries."""
+        out = {}
+        for (r, c), v in self.entries.items():
+            out.setdefault(c, {})[r] = v
         return out
 
     def transpose(self):
@@ -62,16 +74,7 @@ class SparseMatrix:
 
     def apply(self, v: dict) -> dict:
         """Matrix times a column vector indexed by columns."""
-        f = self.field
-        out = {}
-        for (r, c), x in self.entries.items():
-            if c in v:
-                s = f.add(out.get(r, f.zero()), f.mul(x, v[c]))
-                if f.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
+        return combine(self.field, self.columns(), v)
 
     def dump_coordinates(self) -> str:
         """`row col value` triplet text, for external verification."""
@@ -99,15 +102,12 @@ class SubspaceBasis:
 
     def reduce(self, v: dict) -> dict:
         """Canonical representative of v modulo this subspace."""
-        for k in v:
-            if k >= self.ambient:
-                raise EngineError("vector outside the ambient space")
         f = self.field
-        out = dict(v)
+        out = _entry_vector(f, v, self.ambient)
         for row, piv in zip(self.rows, self.pivots):
             c = out.get(piv)
             if c is not None:
-                out = vec_add(f, out, row, f.neg(c))
+                vec_iadd(f, out, row, f.neg(c))
         return out
 
     def contains(self, v: dict) -> bool:
@@ -125,16 +125,33 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient})"
 
 
+def combine(field, vectors: dict, coeffs: dict) -> dict:
+    """The sum of coeffs[k] * vectors[k]; a key missing from vectors adds 0."""
+    out = {}
+    for k, c in coeffs.items():
+        vec = vectors.get(k)
+        if vec is not None:
+            vec_iadd(field, out, vec, c)
+    return out
+
+
+def _entry_vector(field, v, ambient):
+    """A copy of v without stored zeros; every key must lie in [0, ambient)."""
+    if v and (min(v) < 0 or max(v) >= ambient):
+        raise EngineError("vector outside the ambient space")
+    return vec_iadd(field, {}, v)
+
+
 def rref(field, vectors, ambient):
     """Reduced row echelon form of a list of dict-vectors."""
     basis_rows = []
     pivots = []
     for v in vectors:
-        v = dict(v)
+        v = _entry_vector(field, v, ambient)
         for row, piv in zip(basis_rows, pivots):
             c = v.get(piv)
             if c is not None:
-                v = vec_add(field, v, row, field.neg(c))
+                vec_iadd(field, v, row, field.neg(c))
         if not v:
             continue
         piv = min(v)
@@ -142,6 +159,7 @@ def rref(field, vectors, ambient):
         for i, row in enumerate(basis_rows):
             c = row.get(piv)
             if c is not None:
+                # a fresh copy keeps the kept row's hash table compact
                 basis_rows[i] = vec_add(field, row, v, field.neg(c))
         basis_rows.append(v)
         pivots.append(piv)
@@ -181,8 +199,3 @@ def echelon(m: SparseMatrix) -> EchelonResult:
 def column_space(m: SparseMatrix) -> SubspaceBasis:
     """Image of the map v -> m v, as a subspace of k^nrows."""
     return rref(m.field, m.transpose().rows(), m.nrows)
-
-
-def quotient_coords(v: dict, image: SubspaceBasis) -> dict:
-    """Canonical coordinates of v + image: reduce v against the echelon basis."""
-    return image.reduce(v)

@@ -8,6 +8,7 @@ order, so the printed form ``c*b*a`` corresponds to the tuple (a, b, c).
 from __future__ import annotations
 
 from .errors import EngineError
+from .linalg import vec_add, vec_iadd
 
 
 class Quiver:
@@ -195,13 +196,7 @@ class AlgebraElement:
         self.terms = {}
         if terms:
             for p, c in terms.items() if isinstance(terms, dict) else terms:
-                if not field.is_zero(c):
-                    cur = self.terms.get(p)
-                    s = field.add(cur, c) if cur is not None else c
-                    if field.is_zero(s):
-                        self.terms.pop(p, None)
-                    else:
-                        self.terms[p] = s
+                vec_iadd(field, self.terms, {p: c})
 
     @classmethod
     def from_path(cls, quiver, field, path: Path, coeff=None):
@@ -220,16 +215,8 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        f = self.field
-        for p, c in other.terms.items():
-            s = f.add(out.get(p, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(p, None)
-            else:
-                out[p] = s
-        e = AlgebraElement(self.quiver, f)
-        e.terms = out
+        e = AlgebraElement(self.quiver, self.field)
+        e.terms = vec_add(self.field, self.terms, other.terms)
         return e
 
     def __neg__(self):
@@ -251,16 +238,11 @@ class AlgebraElement:
     def __mul__(self, other):
         """Path-algebra product; in self * other, other acts first."""
         self._check(other)
-        f = self.field
-        out = AlgebraElement.zero(self.quiver, f)
-        acc = {}
+        out = AlgebraElement.zero(self.quiver, self.field)
         for p, c in self.terms.items():
             for q, d in other.terms.items():
                 if p.source == q.target:
-                    pq = compose(p, q)
-                    s = f.add(acc.get(pq, f.zero()), f.mul(c, d))
-                    acc[pq] = s
-        out.terms = {p: c for p, c in acc.items() if not f.is_zero(c)}
+                    vec_iadd(self.field, out.terms, {compose(p, q): d}, c)
         return out
 
     def is_parallel(self):

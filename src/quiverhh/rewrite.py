@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 
 from .errors import CompletionError, EngineError, InfiniteDimensionalError
+from .linalg import vec_iadd
 from .quiver import AlgebraElement, Path
 
 REWRITE_STEP_LIMIT = 200_000
@@ -185,10 +186,7 @@ class ReductionSystem:
             ra, rb = self.rules[i], self.rules[j]
             start = self.quiver.arrow_source[word[0]]
             path = Path(self.quiver, start, word)
-            if kind == "overlap":
-                via_a = self.reduce_once(path, 0, ra)
-            else:
-                via_a = self.reduce_once(path, 0, ra)
+            via_a = self.reduce_once(path, 0, ra)
             via_b = self.reduce_once(path, pos_b, rb)
             nf_a = self.normal_form(via_a)
             nf_b = self.normal_form(via_b)
@@ -230,19 +228,6 @@ class ReductionSystem:
         raise CompletionError("completion did not stabilize")
 
 
-def normal_form(elem, system: ReductionSystem):
-    return system.normal_form(elem)
-
-
-def check_confluence(system: ReductionSystem) -> ConfluenceReport:
-    return system.check_confluence()
-
-
-def complete(system: ReductionSystem, length_bound: int) -> ReductionSystem:
-    system.complete(length_bound)
-    return system
-
-
 DEFAULT_CYCLIC_BOUND = 16
 
 
@@ -250,7 +235,8 @@ class QuotientAlgebra:
     """Finite-dimensional quotient with a normal-form path basis.
 
     basis[i] is an irreducible path; products are reduced lazily and cached as
-    coordinate dicts {index: coeff}.
+    coordinate dicts {index: coeff}.  ``by_endpoints`` maps (source, target)
+    to the indices of the basis paths between them.
     """
 
     def __init__(self, presentation, system, basis):
@@ -262,9 +248,11 @@ class QuotientAlgebra:
         self.index = {p: i for i, p in enumerate(basis)}
         self.dim = len(basis)
         self.vertex_unit = {}
+        self.by_endpoints = {}
         for i, p in enumerate(basis):
             if p.is_trivial():
                 self.vertex_unit[p.start] = i
+            self.by_endpoints.setdefault((p.source, p.target), []).append(i)
         self.radical = [i for i, p in enumerate(basis) if not p.is_trivial()]
         self._mul_cache = {}
 
@@ -280,6 +268,10 @@ class QuotientAlgebra:
 
     def target(self, i):
         return self.basis[i].target
+
+    def parallel(self, source, target):
+        """Indices of the basis paths from source to target."""
+        return self.by_endpoints.get((source, target), ())
 
     def coords(self, elem: AlgebraElement):
         """Normal-form coordinates of a path-algebra element."""
@@ -300,11 +292,7 @@ class QuotientAlgebra:
             out = {}
         else:
             prod = Path(self.quiver, q.start, q.arrows + p.arrows)
-            out = self.coords(
-                self.system.normal_form(
-                    AlgebraElement.from_path(self.quiver, self.field, prod)
-                )
-            )
+            out = self.coords(AlgebraElement.from_path(self.quiver, self.field, prod))
         self._mul_cache[key] = out
         return out
 
@@ -313,13 +301,7 @@ class QuotientAlgebra:
         acc = {}
         for i, c in u.items():
             for j, d in v.items():
-                cd = f.mul(c, d)
-                for k, e in self.mul_basis(i, j).items():
-                    s = f.add(acc.get(k, f.zero()), f.mul(cd, e))
-                    if f.is_zero(s):
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = s
+                vec_iadd(f, acc, self.mul_basis(i, j), f.mul(c, d))
         return acc
 
     def unit(self):

@@ -34,13 +34,12 @@ def test_rational_arithmetic():
     assert f.div(Fraction(2, 3), Fraction(1, 3)) == 2
     with pytest.raises(FieldError):
         f.div(f.one(), f.zero())
-    assert f.arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert f.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_prime_field_arithmetic():
     f = PrimeField(7)
     assert f.mul(3, 5) == 1
-    assert f.arith(3, 5, "mul") == 1
     assert f.inv(3) == 5
     with pytest.raises(FieldError):
         f.div(1, 0)

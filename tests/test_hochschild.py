@@ -14,10 +14,12 @@ from quiverhh.families import (
 )
 from quiverhh.fields import PrimeField, Rationals
 from quiverhh.hochschild import (
+    CohomologyClass,
     HochschildCohomology,
     SmallComplex,
     SmallComplexUnavailable,
     build_small_complex,
+    d_squared_zero,
     hh_classes,
     hh_report,
 )
@@ -178,6 +180,37 @@ def test_d_squared_zero_matrices():
             for _ in range(10):
                 v = _random_cochain(bar, n, rng)
                 assert not dn1.apply(dn.apply(v))
+
+
+EXTERIOR_TEXT = """
+field fp:7
+quiver { vertices: o ; arrows: x: o -> o ; y: o -> o }
+relations { x*x ; y*y ; x*y + y*x ; }
+"""
+
+
+def test_d_squared_zero_check_on_cyclic_quiver():
+    # the exterior algebra on two loops has no small complex, so the d^2
+    # check is the only certificate its report carries
+    from quiverhh.dsl import parse_presentation
+
+    pres = parse_presentation(EXTERIOR_TEXT)
+    assert d_squared_zero(_engine(pres, nmax=4).bar)
+    for n in (2, 3):
+        eng = _engine(pres, nmax=4)
+        assert eng.small is None
+        bar = eng.bar
+        # one more unit at column r of d^n changes d^n d^{n-1} by row r of d^{n-1}
+        r = min(row for row, _ in bar.differential(n - 1).entries)
+        bar.differential(n).add(0, r, bar.field.one())
+        assert not d_squared_zero(bar), n
+
+
+def test_canonical_drops_stored_zeros():
+    bar = _engine(pi_presentation(FIELD)).bar
+    vec = bar.canonical({5: FIELD.zero()}, 1)
+    assert vec == {}
+    assert CohomologyClass(1, vec, bar).is_zero()
 
 
 def test_cochain_leibniz_rule():

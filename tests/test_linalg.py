@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quiverhh.errors import EngineError
 from quiverhh.fields import PrimeField, Rationals
-from quiverhh.linalg import SparseMatrix, echelon, quotient_coords, rref, vec_add
+from quiverhh.linalg import SparseMatrix, echelon, rref, vec_add, vec_iadd
 
 FIELD = Rationals()
 
@@ -61,11 +63,11 @@ def test_rank_nullity_random():
 
 def test_quotient_coords_examples():
     image = rref(FIELD, [{0: Fraction(1)}], 2)  # span of (1, 0)
-    assert quotient_coords({0: Fraction(1), 1: Fraction(1)}, image) == {1: Fraction(1)}
-    assert quotient_coords({0: Fraction(3)}, image) == {}
+    assert image.reduce({0: Fraction(1), 1: Fraction(1)}) == {1: Fraction(1)}
+    assert image.reduce({0: Fraction(3)}) == {}
     empty = rref(FIELD, [], 2)
     v = {0: Fraction(2), 1: Fraction(-1)}
-    assert quotient_coords(v, empty) == v
+    assert empty.reduce(v) == v
 
 
 def test_quotient_coords_linear_idempotent():
@@ -83,7 +85,58 @@ def test_quotient_coords_linear_idempotent():
 def test_dimension_mismatch_rejected():
     image = rref(FIELD, [{0: Fraction(1)}], 2)
     with pytest.raises(EngineError):
-        quotient_coords({5: Fraction(1)}, image)
+        image.reduce({5: Fraction(1)})
+
+
+def test_reduce_rejects_keys_outside_ambient():
+    image = rref(FIELD, [{0: Fraction(1)}], 2)
+    for key in (-1, 2):
+        with pytest.raises(EngineError):
+            image.reduce({key: 1})
+        with pytest.raises(EngineError):
+            rref(FIELD, [{key: Fraction(1)}], 2)
+
+
+def test_rref_drops_zero_entries():
+    basis = rref(FIELD, [{0: Fraction(0)}, {0: Fraction(0), 1: Fraction(2)}], 2)
+    assert basis.rows == [{1: Fraction(1)}]
+    assert basis.pivots == [1]
+    assert basis.reduce({0: Fraction(0), 1: Fraction(3)}) == {}
+
+
+AMBIENT = 6
+SCALARS = {
+    "rational": (FIELD, st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    "fp:7": (PrimeField(7), st.integers(min_value=0, max_value=6)),
+}
+
+
+@st.composite
+def _sums(draw):
+    field, scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    keys = st.integers(min_value=0, max_value=AMBIENT - 1)
+    u = draw(st.dictionaries(keys, scalars))
+    u = {k: x for k, x in u.items() if not field.is_zero(x)}
+    v = draw(st.dictionaries(keys, scalars))  # may hold zeros
+    c = draw(st.one_of(st.none(), scalars))
+    return field, u, v, c
+
+
+@given(_sums())
+def test_vec_iadd_matches_dense_reference(case):
+    field, u, v, c = case
+    scale = field.one() if c is None else c
+    dense = [
+        field.add(u.get(k, field.zero()), field.mul(scale, v.get(k, field.zero())))
+        for k in range(AMBIENT)
+    ]
+    want = {k: x for k, x in enumerate(dense) if not field.is_zero(x)}
+    before = dict(u)
+    assert vec_add(field, u, v, c) == want
+    assert u == before  # vec_add leaves its operands alone
+    out = vec_iadd(field, u, v, c)
+    assert out is u and u == want
+    assert not any(field.is_zero(x) for x in u.values())
 
 
 def test_echelon_canonical_for_subspace():
