@@ -129,9 +129,7 @@ def combine(field, vectors: dict, coeffs: dict) -> dict:
     """The sum of coeffs[k] * vectors[k]; a key missing from vectors adds 0."""
     out = {}
     for k, c in coeffs.items():
-        vec = vectors.get(k)
-        if vec is not None:
-            vec_iadd(field, out, vec, c)
+        vec_iadd(field, out, vectors.get(k, {}), c)
     return out
 
 
