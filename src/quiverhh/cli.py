@@ -43,8 +43,8 @@ EXIT_INFINITE = 4
 EXIT_INTERNAL = 5
 
 
-def build_report(pres, nmax, field, family=None, file=None, params=None, seed=None):
-    eng = HochschildCohomology(pres, nmax=nmax)
+def build_report(pres, nmax, field, family=None, file=None, params=None, seed=None, trace=None):
+    eng = HochschildCohomology(pres, nmax=nmax, trace=trace)
     report = eng.report()
     cup_rank, cup_nonzero = eng.cup_rank()
     doc = {
@@ -126,11 +126,7 @@ def cmd_report(args, stream):
             raise ParseError("--field disagrees with the field line of the file")
         field = pres.field
         src = {"file": args.file}
-    if trace:
-        from .rewrite import ReductionSystem
-
-        ReductionSystem.from_presentation(pres, trace=trace).check_confluence()
-    doc = build_report(pres, args.nmax, field, params=params, seed=args.seed, **src)
+    doc = build_report(pres, args.nmax, field, params=params, seed=args.seed, trace=trace, **src)
     _emit(doc, args.out, stream)
     return 0
 

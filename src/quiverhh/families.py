@@ -15,6 +15,7 @@ import warnings
 
 from .errors import EngineError, FieldError
 from .hochschild import SmallComplex
+from .linalg import combine
 from .quiver import AlgebraElement, BoundQuiverPresentation, Path, Quiver
 from .rewrite import quotient_algebra
 from .sl2 import PsiTensor, psi_kronecker
@@ -244,19 +245,12 @@ def angle_functional_check(field, q) -> bool:
     small = SmallComplex(algebra)
     # rule order equals flag order by construction
     powers = [field.one(), q, field.mul(q, q)]
-    functional = {}
-    for row, (rule_idx, _) in enumerate(small.term2):
-        functional[row] = powers[labels[rule_idx]]
-    d1 = small.d1
-    f = field
-    for col in range(d1.ncols):
-        acc = f.zero()
-        for (r, c), val in d1.entries.items():
-            if c == col:
-                acc = f.add(acc, f.mul(functional.get(r, f.zero()), val))
-        if not f.is_zero(acc):
-            return False
-    return True
+    off = small.offset[2]
+    functional = {
+        row: powers[labels[k]] for k in range(len(off) - 1) for row in range(off[k], off[k + 1])
+    }
+    # functional . d1, accumulated over the rows of d1
+    return not combine(field, dict(enumerate(small.d1.rows())), functional)
 
 
 def kronecker_presentation(field) -> BoundQuiverPresentation:

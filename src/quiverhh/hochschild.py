@@ -9,8 +9,12 @@ Two complexes are built from a quotient algebra A with vertex subalgebra E:
   available for quadratic confluent systems on quivers without length-3
   paths, used as an independent cross-check of (h0, h1, h2).
 
-Cochain vectors are dicts over pair indices.  All cohomology coordinates are
-canonical: cocycles are reduced against the coboundary image in echelon form.
+Cochain vectors are sparse dicts over one block layout shared by both
+complexes: a block per tuple (per vertex, arrow or rule in the small complex)
+holds one coordinate per basis path parallel to it, in basis order, so value b
+of the block starting at offset o sits at o + algebra.slot[b].  All cohomology
+coordinates are canonical: cocycles are reduced against the coboundary image
+in echelon form.
 """
 
 from __future__ import annotations
@@ -46,8 +50,28 @@ class CohomologyClass:
         return f"CohomologyClass(degree {self.degree}, {len(self.vector)} terms)"
 
 
+def block_offsets(algebra: QuotientAlgebra, ends):
+    """Start of each block in a cochain vector, plus the total length.
+
+    Block k holds one coordinate per basis path parallel to ends[k], a
+    (source, target) pair, so value b of block k sits at
+    ``offsets[k] + algebra.slot[b]``."""
+    offsets = [0]
+    for source, target in ends:
+        offsets.append(offsets[-1] + len(algebra.parallel(source, target)))
+    return offsets
+
+
 class RelativeBarComplex:
-    """Reduced bar complex of A relative to the span of vertex idempotents."""
+    """Reduced bar complex of A relative to the span of vertex idempotents.
+
+    ``tuples[n]`` lists the composable n-tuples of radical basis indices in
+    sorted order, the first entry acting last; ``tuples[0]`` is the vertex
+    list.  A degree-n cochain vector is a block per tuple: the block of
+    ``tuples[n][ti]`` starts at ``offset[n][ti]`` and holds one coordinate per
+    basis path parallel to the tuple, in basis order, so the value b on that
+    tuple sits at ``offset[n][ti] + algebra.slot[b]``.
+    """
 
     def __init__(self, algebra: QuotientAlgebra, nmax: int):
         if nmax < 0:
@@ -57,54 +81,65 @@ class RelativeBarComplex:
         self.nmax = nmax
         A = algebra
 
-        # tuples[n]: composable n-tuples of radical basis indices (first entry
-        # acts last); tuples[0] is the vertex list.
         self.tuples = {0: list(range(A.quiver.n_vertices))}
-        rad = A.radical
-        self.tuples[1] = [(i,) for i in rad]
+        self.tuples[1] = [(i,) for i in A.radical]
         for n in range(2, nmax + 2):
-            prev = self.tuples[n - 1]
-            cur = []
-            for i in rad:
-                src_i = A.source(i)
-                for t in prev:
-                    if A.target(t[0]) == src_i:
-                        cur.append((i,) + t)
-            cur.sort()
-            self.tuples[n] = cur
+            # extend each tuple on the left by every x that acts after it;
+            # both loops run in sorted order, so the output is sorted
+            by_target = {}
+            for t in self.tuples[n - 1]:
+                by_target.setdefault(A.target(t[0]), []).append(t)
+            self.tuples[n] = [
+                (x,) + t for x in A.radical for t in by_target.get(A.source(x), ())
+            ]
 
         self.tuple_index = {
             n: {t: k for k, t in enumerate(self.tuples[n])} for n in self.tuples
         }
-
-        # pairs[n]: cochain basis (tuple index, value basis index)
-        self.pairs = {}
-        self.pair_index = {}
-        for n in self.tuples:
-            plist = []
-            for ti, t in enumerate(self.tuples[n]):
-                for b in self._values(n, t):
-                    plist.append((ti, b))
-            self.pairs[n] = plist
-            self.pair_index[n] = {p: k for k, p in enumerate(plist)}
+        self.offset = {
+            n: block_offsets(A, (self._ends(n, t) for t in tuples))
+            for n, tuples in self.tuples.items()
+        }
 
         self._diff = {}
         self._ech = {}
         self._image = {}
 
-    def _tuple_source(self, t):
-        return self.algebra.source(t[-1])
+    def _ends(self, n, t):
+        """(source, target) of a degree-n tuple; a vertex when n = 0."""
+        if n == 0:
+            return t, t
+        A = self.algebra
+        return A.source(t[-1]), A.target(t[0])
 
-    def _tuple_target(self, t):
-        return self.algebra.target(t[0])
+    def _segment(self, seglen, t, pos):
+        """Block offset and values of the cochain coordinates on the segment
+        t[pos : pos + seglen].  Degree 0 reads the vertex at pos: t itself
+        when t is a vertex, else the target of t[pos], or the source of the
+        last entry when pos is the end of t."""
+        if seglen:
+            seg = t[pos : pos + seglen]
+        elif isinstance(t, int):
+            seg = t
+        elif pos < len(t):
+            seg = self.algebra.target(t[pos])
+        else:
+            seg = self.algebra.source(t[-1])
+        off = self.offset[seglen][self.tuple_index[seglen][seg]]
+        return off, self.algebra.parallel(*self._ends(seglen, seg))
 
-    def _values(self, n, t):
-        """Basis indices a degree-n cochain may take on t (a vertex when n = 0)."""
-        ends = (t, t) if n == 0 else (self._tuple_source(t), self._tuple_target(t))
-        return self.algebra.by_endpoints.get(ends, ())
+    def _evaluate(self, vec, seglen, t, pos):
+        """Value of a degree-seglen cochain on a segment, as {basis index: coeff}."""
+        off, values = self._segment(seglen, t, pos)
+        out = {}
+        for j, b in enumerate(values):
+            c = vec.get(off + j)
+            if c is not None:
+                out[b] = c
+        return out
 
     def dim(self, n):
-        return len(self.pairs.get(n, ()))
+        return self.offset[n][-1] if n in self.offset else 0
 
     def top_degree_complete(self):
         """True when C^{nmax+1} vanishes, so all h^n up to nmax are final."""
@@ -117,53 +152,35 @@ class RelativeBarComplex:
         if n > self.nmax:
             raise EngineError(f"differential {n} beyond computed window {self.nmax}")
         A = self.algebra
+        slot = A.slot
         f = self.field
         m = SparseMatrix(self.dim(n + 1), self.dim(n), f)
         minus_one = f.from_int(-1)
         for ti, t in enumerate(self.tuples[n + 1]):
+            row = self.offset[n + 1][ti]
             # leftmost face: x1 * f(x2..x_{n+1})
-            x1 = t[0]
-            rest = t[1:]
-            if n == 0:
-                v = A.source(x1)
-                cols = [(v, b) for b in A.parallel(v, v)]
-            else:
-                ri = self.tuple_index[n][rest]
-                cols = [(ri, b) for b in self._values(n, rest)]
-            for col_key in cols:
-                col = self.pair_index[n][col_key]
-                for k, c in A.mul_basis(x1, col_key[1]).items():
-                    m.add(self.pair_index[n + 1][(ti, k)], col, c)
-            # inner faces: (-1)^i f(.., x_i x_{i+1}, ..)
+            col, values = self._segment(n, t, 1)
+            for j, b in enumerate(values):
+                for k, c in A.mul_basis(t[0], b).items():
+                    m.add(row + slot[k], col + j, c)
+            # inner faces: (-1)^i f(.., x_i x_{i+1}, ..); u is parallel to t,
+            # so its block lines up with t's own
+            width = self.offset[n + 1][ti + 1] - row
             for i in range(n):
                 s = minus_one if i % 2 == 0 else f.one()
-                prod = A.mul_basis(t[i], t[i + 1])
-                if not prod:
-                    continue
-                for k, c in prod.items():
+                for k, c in A.mul_basis(t[i], t[i + 1]).items():
                     if A.basis[k].is_trivial():
                         continue
-                    u = t[:i] + (k,) + t[i + 2 :]
-                    ui = self.tuple_index[n][u]
+                    col = self.offset[n][self.tuple_index[n][t[:i] + (k,) + t[i + 2 :]]]
                     sc = f.mul(s, c)
-                    for b in self._values(n, u):
-                        row = self.pair_index[n + 1].get((ti, b))
-                        if row is not None:
-                            m.add(row, self.pair_index[n][(ui, b)], sc)
+                    for j in range(width):
+                        m.add(row + j, col + j, sc)
             # rightmost face: (-1)^{n+1} f(x1..xn) * x_{n+1}
             s = minus_one if (n + 1) % 2 == 1 else f.one()
-            xl = t[-1]
-            front = t[:-1]
-            if n == 0:
-                v = A.target(xl)
-                cols = [(v, b) for b in A.parallel(v, v)]
-            else:
-                fi = self.tuple_index[n][front]
-                cols = [(fi, b) for b in self._values(n, front)]
-            for col_key in cols:
-                col = self.pair_index[n][col_key]
-                for k, c in A.mul_basis(col_key[1], xl).items():
-                    m.add(self.pair_index[n + 1][(ti, k)], col, f.mul(s, c))
+            col, values = self._segment(n, t, 0)
+            for j, b in enumerate(values):
+                for k, c in A.mul_basis(b, t[-1]).items():
+                    m.add(row + slot[k], col + j, f.mul(s, c))
         self._diff[n] = m
         return m
 
@@ -202,63 +219,36 @@ class RelativeBarComplex:
 
     def classes(self, n):
         """Basis of HH^n as canonical cocycle representatives."""
+        if n > self.nmax:
+            raise EngineError(f"degree {n} beyond computed window")
         if self.dim(n) == 0:
             return []
-        if self.dim(n + 1) == 0:
-            kernel_rows = rref(
-                self.field,
-                [{i: self.field.one()} for i in range(self.dim(n))],
-                self.dim(n),
-            ).rows
-        else:
-            kernel_rows = self._echelon(n).kernel.rows
         image = self.coboundaries(n)
-        residues = [image.reduce(v) for v in kernel_rows]
+        residues = [image.reduce(v) for v in self._echelon(n).kernel.rows]
         basis = rref(self.field, [r for r in residues if r], self.dim(n))
         return [CohomologyClass(n, row, self) for row in basis.rows]
 
     # --- cochain-level products -------------------------------------------
-
-    def eval_pairs(self, vec, n, tuple_idx):
-        """Value of the cochain on one tuple, as {basis index: coeff}."""
-        out = {}
-        for b in self._values(n, self.tuples[n][tuple_idx]):
-            c = vec.get(self.pair_index[n].get((tuple_idx, b)))
-            if c is not None:
-                out[b] = c
-        return out
 
     def cup_cochain(self, fvec, p, gvec, q):
         """(f cup g)(x1..x_{p+q}) = f(x1..xp) * g(x_{p+1}..x_{p+q})."""
         n = p + q
         if n > self.nmax + 1:
             raise EngineError("cup lands beyond the computed window")
+        slot = self.algebra.slot
         out = {}
         for ti, t in enumerate(self.tuples[n]):
-            fvals = self._segment_values(fvec, p, t, 0)
+            fvals = self._evaluate(fvec, p, t, 0)
             if not fvals:
                 continue
-            gvals = self._segment_values(gvec, q, t, p)
+            gvals = self._evaluate(gvec, q, t, p)
             if not gvals:
                 continue
-            # the product is parallel to t, so every row exists and is t's own
+            # the product is parallel to t, so it lies in t's own block
+            row = self.offset[n][ti]
             for k, c in self.algebra.mul_vec(fvals, gvals).items():
-                out[self.pair_index[n][(ti, k)]] = c
+                out[row + slot[k]] = c
         return out
-
-    def _segment_values(self, vec, seglen, t, pos):
-        """Cochain values on t[pos : pos + seglen].  Degree 0 reads the vertex
-        where the segment sits: t itself when t is a vertex, else the target
-        of t at the front and its source at the back."""
-        if seglen:
-            ti = self.tuple_index[seglen].get(t[pos : pos + seglen])
-            if ti is None:
-                return {}
-        elif isinstance(t, int):
-            ti = t
-        else:
-            ti = self._tuple_target(t) if pos == 0 else self._tuple_source(t)
-        return self.eval_pairs(vec, seglen, ti)
 
     def circle_cochain(self, fvec, p, gvec, q):
         """Gerstenhaber pre-Lie circle product of cochains of degrees p, q >= 1."""
@@ -274,27 +264,22 @@ class RelativeBarComplex:
         for ti, t in enumerate(self.tuples[n]):
             vals = {}
             for i in range(p):  # insertion slot, 0-based
-                window = t[i : i + q]
-                wi = self.tuple_index[q].get(window)
-                if wi is None:
-                    continue
-                gvals = self.eval_pairs(gvec, q, wi)
+                gvals = self._evaluate(gvec, q, t, i)
                 if not gvals:
                     continue
                 sign = f.one() if ((q - 1) * i) % 2 == 0 else minus_one
                 for w, cw in gvals.items():
                     if A.basis[w].is_trivial():
                         continue
+                    # w is parallel to the window it replaces, so u is a tuple
                     u = t[:i] + (w,) + t[i + q :]
-                    ui = self.tuple_index[p].get(u)
-                    if ui is None:
-                        continue
-                    fvals = self.eval_pairs(fvec, p, ui)
+                    fvals = self._evaluate(fvec, p, u, 0)
                     if fvals:
                         vec_iadd(f, vals, fvals, f.mul(sign, cw))
-            # u is parallel to t, so every row exists and is t's own
+            # u is parallel to t, so the sum lies in t's own block
+            row = self.offset[n][ti]
             for v, c in vals.items():
-                out[self.pair_index[n][(ti, v)]] = c
+                out[row + A.slot[v]] = c
         return out
 
     def cup(self, fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
@@ -334,80 +319,70 @@ class SmallComplex:
         self.algebra = A
         self.field = A.field
 
-        self.term0 = []
-        for v in range(quiver.n_vertices):
-            for b in A.parallel(v, v):
-                self.term0.append((v, b))
-        self.term1 = []
-        for a in range(quiver.n_arrows):
-            for b in A.parallel(quiver.arrow_source[a], quiver.arrow_target[a]):
-                self.term1.append((a, b))
-        self.term2 = []
-        for k, r in enumerate(rules):
-            for b in A.parallel(r.leading.source, r.leading.target):
-                self.term2.append((k, b))
-        t0 = {p: i for i, p in enumerate(self.term0)}
-        t1 = {p: i for i, p in enumerate(self.term1)}
-        t2 = {p: i for i, p in enumerate(self.term2)}
+        # cochain blocks: one per vertex, per arrow and per rule, each holding
+        # the basis paths parallel to it (see block_offsets)
+        arrow_ends = list(zip(quiver.arrow_source, quiver.arrow_target))
+        self.offset = (
+            block_offsets(A, ((v, v) for v in range(quiver.n_vertices))),
+            block_offsets(A, arrow_ends),
+            block_offsets(A, ((r.leading.source, r.leading.target) for r in rules)),
+        )
+        off0, off1, off2 = self.offset
+        slot = A.slot
+        arrow_basis = [A.index[Path(quiver, s, (a,))] for a, (s, _) in enumerate(arrow_ends)]
 
         f = A.field
-        d0 = SparseMatrix(len(self.term1), len(self.term0), f)
-        for col, (v, b0) in enumerate(self.term0):
-            for a in range(quiver.n_arrows):
-                arrow_basis = A.index[Path(quiver, quiver.arrow_source[a], (a,))]
-                if quiver.arrow_source[a] == v:
-                    for k, c in A.mul_basis(arrow_basis, b0).items():
-                        d0.add(t1[(a, k)], col, c)
-                if quiver.arrow_target[a] == v:
-                    for k, c in A.mul_basis(b0, arrow_basis).items():
-                        d0.add(t1[(a, k)], col, f.neg(c))
+        dim0, dim1, dim2 = self.term_dims
+        d0 = SparseMatrix(dim1, dim0, f)
+        for v in range(quiver.n_vertices):
+            for j, b0 in enumerate(A.parallel(v, v)):
+                col = off0[v] + j
+                for a, (source, target) in enumerate(arrow_ends):
+                    if source == v:
+                        for k, c in A.mul_basis(arrow_basis[a], b0).items():
+                            d0.add(off1[a] + slot[k], col, c)
+                    if target == v:
+                        for k, c in A.mul_basis(b0, arrow_basis[a]).items():
+                            d0.add(off1[a] + slot[k], col, f.neg(c))
         self.d0 = d0
 
         # relation element of rule k: leading - rest
-        d1 = SparseMatrix(len(self.term2), len(self.term1), f)
+        d1 = SparseMatrix(dim2, dim1, f)
         for k, rule in enumerate(rules):
+            row = off2[k]
             words = [(rule.leading, f.one())] + [
                 (s, f.neg(c)) for s, c in rule.rest.sorted_terms()
             ]
             for word, cw in words:
                 a_first, a_second = word.arrows
-                first_idx = A.index[Path(quiver, word.start, (a_first,))]
                 mid = quiver.arrow_target[a_first]
-                second_idx = A.index[Path(quiver, mid, (a_second,))]
                 # substitute into the later arrow: f(a2) * a1
-                for b in A.parallel(mid, word.target):
-                    col = t1.get((a_second, b))
-                    if col is None:
-                        continue
-                    for kk, c in A.mul_basis(b, first_idx).items():
-                        d1.add(t2[(k, kk)], col, f.mul(cw, c))
+                for j, b in enumerate(A.parallel(mid, word.target)):
+                    for kk, c in A.mul_basis(b, arrow_basis[a_first]).items():
+                        d1.add(row + slot[kk], off1[a_second] + j, f.mul(cw, c))
                 # substitute into the earlier arrow: a2 * f(a1)
-                for b in A.parallel(word.start, mid):
-                    col = t1.get((a_first, b))
-                    if col is None:
-                        continue
-                    for kk, c in A.mul_basis(second_idx, b).items():
-                        d1.add(t2[(k, kk)], col, f.mul(cw, c))
+                for j, b in enumerate(A.parallel(word.start, mid)):
+                    for kk, c in A.mul_basis(arrow_basis[a_second], b).items():
+                        d1.add(row + slot[kk], off1[a_first] + j, f.mul(cw, c))
         self.d1 = d1
         self._r0 = None
         self._r1 = None
 
     @property
     def term_dims(self):
-        return (len(self.term0), len(self.term1), len(self.term2))
+        return tuple(off[-1] for off in self.offset)
 
     def _ranks(self):
         if self._r0 is None:
-            self._r0 = echelon(self.d0).rank if self.term0 and self.term1 else 0
-            self._r1 = echelon(self.d1).rank if self.term1 and self.term2 else 0
+            dim0, dim1, dim2 = self.term_dims
+            self._r0 = echelon(self.d0).rank if dim0 and dim1 else 0
+            self._r1 = echelon(self.d1).rank if dim1 and dim2 else 0
         return self._r0, self._r1
 
     def hh_dims(self):
         r0, r1 = self._ranks()
-        h0 = len(self.term0) - r0
-        h1 = (len(self.term1) - r1) - r0
-        h2 = len(self.term2) - r1
-        return (h0, h1, h2)
+        dim0, dim1, dim2 = self.term_dims
+        return (dim0 - r0, dim1 - r1 - r0, dim2 - r1)
 
     def euler(self):
         d = self.term_dims
@@ -432,10 +407,13 @@ class HHReport:
 class HochschildCohomology:
     """Shared engine: quotient algebra, bar complex, optional small complex."""
 
-    def __init__(self, presentation, nmax=3, algebra=None):
+    def __init__(self, presentation, nmax=3, algebra=None, trace=None):
+        """``trace`` receives one line per ambiguity that completion checks."""
         self.presentation = presentation
         self.nmax = nmax
-        self.algebra = algebra if algebra is not None else quotient_algebra(presentation)
+        if algebra is None:
+            algebra = quotient_algebra(presentation, trace=trace)
+        self.algebra = algebra
         self.bar = RelativeBarComplex(self.algebra, nmax)
         try:
             self.small = SmallComplex(self.algebra)

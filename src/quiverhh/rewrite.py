@@ -236,7 +236,8 @@ class QuotientAlgebra:
 
     basis[i] is an irreducible path; products are reduced lazily and cached as
     coordinate dicts {index: coeff}.  ``by_endpoints`` maps (source, target)
-    to the indices of the basis paths between them.
+    to the indices of the basis paths between them, in basis order, and
+    ``slot[i]`` is the position of i in its ``by_endpoints`` list.
     """
 
     def __init__(self, presentation, system, basis):
@@ -249,10 +250,13 @@ class QuotientAlgebra:
         self.dim = len(basis)
         self.vertex_unit = {}
         self.by_endpoints = {}
+        self.slot = []
         for i, p in enumerate(basis):
             if p.is_trivial():
                 self.vertex_unit[p.start] = i
-            self.by_endpoints.setdefault((p.source, p.target), []).append(i)
+            parallel = self.by_endpoints.setdefault((p.source, p.target), [])
+            self.slot.append(len(parallel))
+            parallel.append(i)
         self.radical = [i for i, p in enumerate(basis) if not p.is_trivial()]
         self._mul_cache = {}
 

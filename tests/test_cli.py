@@ -170,3 +170,23 @@ def test_checks_detect_tampered_differential(monkeypatch):
 def test_trace_flag(capsys):
     code, _ = run_cli(["report", "--family", "pi", "--trace"])
     assert code == 0
+
+
+def test_trace_reuses_the_engine_confluence_check(monkeypatch):
+    from quiverhh.rewrite import ReductionSystem
+
+    original = ReductionSystem.check_confluence
+    calls = []
+
+    def counted(system):
+        calls.append(1)
+        return original(system)
+
+    monkeypatch.setattr(ReductionSystem, "check_confluence", counted)
+    outputs = []
+    for extra in ([], ["--trace"]):
+        calls.clear()
+        code, out = run_cli(["report", "--family", "pi"] + extra)
+        assert code == 0
+        outputs.append((len(calls), out))
+    assert outputs[0] == outputs[1]

@@ -410,3 +410,14 @@ def test_torus_small_characteristic():
             warnings.simplefilter("ignore")
             rep = hh_report(incidence_presentation(torus_cubical_complex(), field, field.one()))
         assert rep.dims == (1, 2, 1, 0)
+
+
+def test_classes_beyond_window_rejected():
+    # C^{nmax+1} is built but d^{nmax+1} is not, so HH^{nmax+1} is unknown
+    from quiverhh.dsl import parse_presentation
+
+    pres = parse_presentation(EXTERIOR_TEXT)
+    with pytest.raises(EngineError):
+        _engine(pres, nmax=1).classes(2)
+    eng = _engine(pres, nmax=2)
+    assert len(eng.classes(2)) == eng.bar.hh_dim(2) == 6
