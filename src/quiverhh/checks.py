@@ -358,10 +358,10 @@ def check_normal_form_strategy_independence(seed):
             assert alt.normal_form(elem).canonical_terms() == reference.canonical_terms()
 
 
-def check_three_way_psi(seed, samples=25):
+def check_three_way_psi(seed):
     rng = random.Random(seed)
     field = Rationals()
-    for _ in range(samples):
+    for _ in range(25):
         psi = PsiTensor.from_int_array(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
         report = HochschildCohomology(families.p1p1_presentation(field, psi)).report()
         km = kernel_model_dims(psi)
@@ -373,17 +373,17 @@ def check_three_way_psi(seed, samples=25):
         assert (s, j) in FEASIBLE_PAIRS
 
 
-def check_feasibility_sample(seed, samples=200):
+def check_feasibility_sample(seed):
     rng = random.Random(seed)
     field = Rationals()
-    for _ in range(samples):
+    for _ in range(200):
         psi = PsiTensor.from_int_array(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
         assert (stab_dim(psi), jj_dim(psi)) in FEASIBLE_PAIRS
 
 
-def check_monomial_cup_vanishing(seed, samples=20):
+def check_monomial_cup_vanishing(seed):
     field = Rationals()
-    for s in range(samples):
+    for s in range(20):
         pres = families.random_monomial_presentation(field, seed + s)
         length = pres.quiver.longest_path_length()
         eng = HochschildCohomology(pres, nmax=max(3, length + 1))

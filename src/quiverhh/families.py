@@ -341,22 +341,14 @@ def pi_presentation(field) -> BoundQuiverPresentation:
     return BoundQuiverPresentation(quiver, field, [r1, r2], leading_terms=leading)
 
 
-def random_monomial_presentation(
-    field,
-    seed,
-    max_vertices=6,
-    max_arrows=10,
-    max_relations=6,
-    max_length=3,
-) -> BoundQuiverPresentation:
-    """Seeded random acyclic quiver with path (monomial) relations only."""
-    if max_vertices > 6:
-        raise EngineError("monomial sampler is limited to 6 vertices")
+def random_monomial_presentation(field, seed) -> BoundQuiverPresentation:
+    """Seeded random acyclic quiver with path (monomial) relations only: 3 to 6
+    vertices, up to 10 arrows and up to 6 relations of length 2 or 3."""
     rng = random.Random(seed)
-    n = rng.randint(3, max_vertices)
+    n = rng.randint(3, 6)
     vertices = [f"v{i}" for i in range(1, n + 1)]
     arrows = []
-    n_arrows = rng.randint(n - 1, max_arrows)
+    n_arrows = rng.randint(n - 1, 10)
     for k in range(n_arrows):
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
@@ -365,7 +357,7 @@ def random_monomial_presentation(
 
     candidates = []
     level = [Path(quiver, v) for v in range(quiver.n_vertices)]
-    for _ in range(max_length):
+    for _ in range(3):
         nxt = []
         for p in level:
             for a in quiver.arrows_from[p.target]:
@@ -375,7 +367,7 @@ def random_monomial_presentation(
     relations = []
     seen = set()
     if candidates:
-        k = rng.randint(0, min(max_relations, len(candidates)))
+        k = rng.randint(0, min(6, len(candidates)))
         for p in rng.sample(candidates, k):
             if p in seen:
                 continue

@@ -84,9 +84,6 @@ class Field:
     def format_scalar(self, a) -> str:
         return str(a)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class Rationals(Field):
     kind = "rationals"

@@ -15,9 +15,17 @@ holds one coordinate per basis path parallel to it, in basis order, so value b
 of the block starting at offset o sits at o + algebra.slot[b].  All cohomology
 coordinates are canonical: cocycles are reduced against the coboundary image
 in echelon form.
+
+Products read only their operands' nonzero blocks, decoded into
+{tuple: {value: coeff}}: the cup product joins each block of f to each block
+of g that ends where it starts, and the circle product puts a block of g in
+place of each entry of a block of f that is one of g's values on it.  Their
+cost follows the operands' nonzero coordinates, not the target degree's size.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .errors import ConsistencyError, EngineError
 from .linalg import SparseMatrix, column_space, combine, echelon, rref, vec_add, vec_iadd
@@ -104,6 +112,7 @@ class RelativeBarComplex:
         self._diff = {}
         self._ech = {}
         self._image = {}
+        self._classes = {}
 
     def _ends(self, n, t):
         """(source, target) of a degree-n tuple; a vertex when n = 0."""
@@ -114,13 +123,11 @@ class RelativeBarComplex:
 
     def _segment(self, seglen, t, pos):
         """Block offset and values of the cochain coordinates on the segment
-        t[pos : pos + seglen].  Degree 0 reads the vertex at pos: t itself
-        when t is a vertex, else the target of t[pos], or the source of the
-        last entry when pos is the end of t."""
+        t[pos : pos + seglen] of a tuple t.  Degree 0 reads the vertex at pos:
+        the target of t[pos], or the source of the last entry when pos is the
+        end of t."""
         if seglen:
             seg = t[pos : pos + seglen]
-        elif isinstance(t, int):
-            seg = t
         elif pos < len(t):
             seg = self.algebra.target(t[pos])
         else:
@@ -128,15 +135,25 @@ class RelativeBarComplex:
         off = self.offset[seglen][self.tuple_index[seglen][seg]]
         return off, self.algebra.parallel(*self._ends(seglen, seg))
 
-    def _evaluate(self, vec, seglen, t, pos):
-        """Value of a degree-seglen cochain on a segment, as {basis index: coeff}."""
-        off, values = self._segment(seglen, t, pos)
+    def _blocks(self, vec, n):
+        """A degree-n cochain as {tuple: {value: coeff}}, over the blocks it has entries in."""
+        offsets, tuples = self.offset[n], self.tuples[n]
         out = {}
-        for j, b in enumerate(values):
-            c = vec.get(off + j)
-            if c is not None:
-                out[b] = c
+        for k, c in vec.items():
+            if not 0 <= k < offsets[-1]:
+                raise EngineError(f"coordinate {k} outside C^{n}")
+            ti = bisect_right(offsets, k) - 1
+            t = tuples[ti]
+            values = self.algebra.parallel(*self._ends(n, t))
+            out.setdefault(t, {})[values[k - offsets[ti]]] = c
         return out
+
+    def _vector(self, blocks, n):
+        """The degree-n cochain vector of {tuple: {value: coeff}}."""
+        slot, offsets, index = self.algebra.slot, self.offset[n], self.tuple_index[n]
+        return {
+            offsets[index[t]] + slot[b]: c for t, vals in blocks.items() for b, c in vals.items()
+        }
 
     def dim(self, n):
         return self.offset[n][-1] if n in self.offset else 0
@@ -221,12 +238,16 @@ class RelativeBarComplex:
         """Basis of HH^n as canonical cocycle representatives."""
         if n > self.nmax:
             raise EngineError(f"degree {n} beyond computed window")
-        if self.dim(n) == 0:
-            return []
-        image = self.coboundaries(n)
-        residues = [image.reduce(v) for v in self._echelon(n).kernel.rows]
-        basis = rref(self.field, [r for r in residues if r], self.dim(n))
-        return [CohomologyClass(n, row, self) for row in basis.rows]
+        if n not in self._classes:
+            basis = []
+            if self.dim(n):
+                image = self.coboundaries(n)
+                residues = [image.reduce(v) for v in self._echelon(n).kernel.rows]
+                basis = rref(self.field, [r for r in residues if r], self.dim(n)).rows
+            # keep the vectors only: a class refers back to this complex, and
+            # the cycle would leave the complex to the cyclic garbage collector
+            self._classes[n] = basis
+        return [CohomologyClass(n, row, self) for row in self._classes[n]]
 
     # --- cochain-level products -------------------------------------------
 
@@ -235,52 +256,43 @@ class RelativeBarComplex:
         n = p + q
         if n > self.nmax + 1:
             raise EngineError("cup lands beyond the computed window")
-        slot = self.algebra.slot
+        by_target = {}
+        for tg, gvals in self._blocks(gvec, q).items():
+            by_target.setdefault(self._ends(q, tg)[1], []).append((tg, gvals))
         out = {}
-        for ti, t in enumerate(self.tuples[n]):
-            fvals = self._evaluate(fvec, p, t, 0)
-            if not fvals:
-                continue
-            gvals = self._evaluate(gvec, q, t, p)
-            if not gvals:
-                continue
-            # the product is parallel to t, so it lies in t's own block
-            row = self.offset[n][ti]
-            for k, c in self.algebra.mul_vec(fvals, gvals).items():
-                out[row + slot[k]] = c
-        return out
+        for tf, fvals in self._blocks(fvec, p).items():
+            for tg, gvals in by_target.get(self._ends(p, tf)[0], ()):
+                # a degree-0 operand is a vertex, the unit of the join
+                t = tf if q == 0 else tg if p == 0 else tf + tg
+                out[t] = self.algebra.mul_vec(fvals, gvals)
+        return self._vector(out, n)
 
     def circle_cochain(self, fvec, p, gvec, q):
-        """Gerstenhaber pre-Lie circle product of cochains of degrees p, q >= 1."""
+        """Gerstenhaber pre-Lie circle product of cochains of degrees p, q >= 1:
+        (f o g)(x1..xn) = sum_i (-1)^((q-1)i) f(x1..xi, g(x_{i+1}..x_{i+q}), ..)."""
         if p < 1 or q < 1:
             raise EngineError("circle product needs positive degrees")
-        A = self.algebra
         f = self.field
         n = p + q - 1
         if n > self.nmax + 1:
             raise EngineError("circle product lands beyond the computed window")
         minus_one = f.from_int(-1)
+        signs = [f.one() if ((q - 1) * i) % 2 == 0 else minus_one for i in range(p)]
+        # f's blocks by (position, entry); entries are radical indices, so a
+        # trivial value of g matches none
+        by_entry = {}
+        for u, fvals in self._blocks(fvec, p).items():
+            for i, x in enumerate(u):
+                by_entry.setdefault((i, x), []).append((u, fvals))
         out = {}
-        for ti, t in enumerate(self.tuples[n]):
-            vals = {}
-            for i in range(p):  # insertion slot, 0-based
-                gvals = self._evaluate(gvec, q, t, i)
-                if not gvals:
-                    continue
-                sign = f.one() if ((q - 1) * i) % 2 == 0 else minus_one
-                for w, cw in gvals.items():
-                    if A.basis[w].is_trivial():
-                        continue
-                    # w is parallel to the window it replaces, so u is a tuple
-                    u = t[:i] + (w,) + t[i + q :]
-                    fvals = self._evaluate(fvec, p, u, 0)
-                    if fvals:
-                        vec_iadd(f, vals, fvals, f.mul(sign, cw))
-            # u is parallel to t, so the sum lies in t's own block
-            row = self.offset[n][ti]
-            for v, c in vals.items():
-                out[row + A.slot[v]] = c
-        return out
+        for tg, gvals in self._blocks(gvec, q).items():
+            for w, cw in gvals.items():
+                for i, s in enumerate(signs):
+                    # w is parallel to tg, so putting tg in its place gives a tuple
+                    for u, fvals in by_entry.get((i, w), ()):
+                        t = u[:i] + tg + u[i + 1 :]
+                        vec_iadd(f, out.setdefault(t, {}), fvals, f.mul(s, cw))
+        return self._vector(out, n)
 
     def cup(self, fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
         if fc.complex is not self or gc.complex is not self:
@@ -407,13 +419,11 @@ class HHReport:
 class HochschildCohomology:
     """Shared engine: quotient algebra, bar complex, optional small complex."""
 
-    def __init__(self, presentation, nmax=3, algebra=None, trace=None):
+    def __init__(self, presentation, nmax=3, trace=None):
         """``trace`` receives one line per ambiguity that completion checks."""
         self.presentation = presentation
         self.nmax = nmax
-        if algebra is None:
-            algebra = quotient_algebra(presentation, trace=trace)
-        self.algebra = algebra
+        self.algebra = quotient_algebra(presentation, trace=trace)
         self.bar = RelativeBarComplex(self.algebra, nmax)
         try:
             self.small = SmallComplex(self.algebra)
@@ -485,7 +495,5 @@ def hh_classes(presentation, n, nmax=None):
     return eng.classes(n)
 
 
-def build_small_complex(presentation, algebra=None) -> SmallComplex:
-    if algebra is None:
-        algebra = quotient_algebra(presentation)
-    return SmallComplex(algebra)
+def build_small_complex(presentation) -> SmallComplex:
+    return SmallComplex(quotient_algebra(presentation))

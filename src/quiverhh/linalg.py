@@ -88,7 +88,9 @@ class SparseMatrix:
 
 
 class SubspaceBasis:
-    """Reduced row-echelon basis of a subspace; canonical for the subspace."""
+    """Reduced echelon basis of a subspace: row k has 1 at ``pivots[k]`` and 0
+    at every other pivot.  ``rref`` pivots each row at its first nonzero
+    column, which makes the basis canonical for the subspace."""
 
     def __init__(self, ambient: int, field, rows=(), pivots=()):
         self.ambient = ambient
@@ -109,9 +111,6 @@ class SubspaceBasis:
             if c is not None:
                 vec_iadd(f, out, row, f.neg(c))
         return out
-
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
 
     def __eq__(self, other):
         return (
@@ -177,7 +176,11 @@ class EchelonResult:
 
 
 def echelon(m: SparseMatrix) -> EchelonResult:
-    """Exact rank, RREF row-space basis, and RREF kernel basis of m."""
+    """Exact rank, RREF row-space basis, and kernel basis of m.
+
+    The kernel has one vector per free column c: 1 at c and minus the entries
+    of column c at the row-space pivots.  It is reduced on the free columns
+    (1 at its own, 0 at every other), which serve as its pivots."""
     f = m.field
     row_space = rref(f, m.rows(), m.ncols)
     pivset = set(row_space.pivots)
@@ -190,7 +193,7 @@ def echelon(m: SparseMatrix) -> EchelonResult:
             if x is not None:
                 v[piv] = f.neg(x)
         kernel_vectors.append(v)
-    kernel = rref(f, kernel_vectors, m.ncols)
+    kernel = SubspaceBasis(m.ncols, f, kernel_vectors, free_cols)
     return EchelonResult(row_space.dim, row_space, kernel)
 
 

@@ -254,11 +254,6 @@ class AlgebraElement:
         """Quiver-instance-independent form, for structural comparison."""
         return {(p.start, p.arrows): c for p, c in self.terms.items()}
 
-    def endpoints(self):
-        for p in self.terms:
-            return (p.source, p.target)
-        return None
-
     def lengths(self):
         return {p.length for p in self.terms}
 
@@ -289,16 +284,13 @@ class BoundQuiverPresentation:
     Relations must be linear combinations of parallel paths of one common
     length >= 2.  ``leading_terms`` optionally designates the leading path of
     each relation (families use this); otherwise the order policy decides.
-    ``precedence`` is the arrow precedence list (arrow indices, highest first
-    position = lowest precedence value wins ties by list order).
     """
 
-    def __init__(self, quiver, field, relations, leading_terms=None, precedence=None):
+    def __init__(self, quiver, field, relations, leading_terms=None):
         self.quiver = quiver
         self.field = field
         self.relations = list(relations)
         self.leading_terms = list(leading_terms) if leading_terms is not None else None
-        self.precedence = list(precedence) if precedence is not None else list(range(quiver.n_arrows))
         self._validate()
 
     def _validate(self):
@@ -320,9 +312,8 @@ class BoundQuiverPresentation:
                     raise EngineError(f"designated leading term {lead} not in relation")
 
     def path_order_key(self, path: Path):
-        """Length first, then arrow precedence lexicographically on the written word."""
-        prec = self.precedence
-        return (path.length, tuple(prec[i] for i in reversed(path.arrows)))
+        """Length first, then arrow indices lexicographically on the written word."""
+        return (path.length, tuple(reversed(path.arrows)))
 
     def oriented_relations(self):
         """Yield (leading path, relation element) pairs."""

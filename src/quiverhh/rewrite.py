@@ -16,6 +16,7 @@ from .linalg import vec_iadd
 from .quiver import AlgebraElement, Path
 
 REWRITE_STEP_LIMIT = 200_000
+COMPLETION_ROUND_LIMIT = 10_000
 
 
 class Rule:
@@ -67,6 +68,8 @@ class ReductionSystem:
         self.field = field
         self.rules = []
         self.by_leading = {}
+        # first arrow -> numbers of the rules whose leading word starts with it
+        self.by_first = {}
         self.order_key = order_key if order_key is not None else (lambda p: p.sort_key())
         self.trace = trace
         for r in rules:
@@ -99,6 +102,7 @@ class ReductionSystem:
         if leading in self.by_leading:
             raise EngineError("duplicate leading path")
         rule = Rule(leading, rest)
+        self.by_first.setdefault(leading.arrows[0], []).append(len(self.rules))
         self.rules.append(rule)
         self.by_leading[leading] = rule
 
@@ -118,13 +122,11 @@ class ReductionSystem:
     def _find_redex(self, path: Path):
         """First (position, rule) whose leading word occurs as a factor of path."""
         arrows = path.arrows
-        n = len(arrows)
-        for pos in range(n):
-            for rule in self.rules:
-                la = rule.leading.arrows
-                k = len(la)
-                if pos + k <= n and arrows[pos : pos + k] == la:
-                    return pos, rule
+        for pos, x in enumerate(arrows):
+            for r in self.by_first.get(x, ()):
+                la = self.rules[r].leading.arrows
+                if arrows[pos : pos + len(la)] == la:
+                    return pos, self.rules[r]
         return None
 
     def reduce_once(self, path: Path, pos, rule):
@@ -137,7 +139,7 @@ class ReductionSystem:
             out = out + AlgebraElement.from_path(self.quiver, self.field, new, d)
         return out
 
-    def normal_form(self, elem: AlgebraElement, step_limit=REWRITE_STEP_LIMIT):
+    def normal_form(self, elem: AlgebraElement):
         f = self.field
         steps = 0
         while True:
@@ -150,7 +152,7 @@ class ReductionSystem:
             if hit is None:
                 return elem
             steps += 1
-            if steps > step_limit:
+            if steps > REWRITE_STEP_LIMIT:
                 raise CompletionError("rewriting did not terminate within the step limit")
             p, (pos, rule) = hit
             c = elem.terms[p]
@@ -165,8 +167,9 @@ class ReductionSystem:
         rules = self.rules
         for i, ra in enumerate(rules):
             a = ra.leading.arrows
-            for j, rb in enumerate(rules):
-                b = rb.leading.arrows
+            # both kinds need b to start with an arrow of a
+            for j in sorted({j for x in set(a) for j in self.by_first.get(x, ())}):
+                b = rules[j].leading.arrows
                 # overlap: a proper suffix of a equals a proper prefix of b
                 for t in range(1, min(len(a), len(b))):
                     if a[len(a) - t :] == b[:t]:
@@ -202,9 +205,9 @@ class ReductionSystem:
                 )
         return ConfluenceReport(reports)
 
-    def complete(self, length_bound, max_rounds=10_000):
+    def complete(self, length_bound):
         """Add oriented S-elements until confluent; in-place Knuth-Bendix."""
-        for _ in range(max_rounds):
+        for _ in range(COMPLETION_ROUND_LIMIT):
             report = self.check_confluence()
             if report.confluent:
                 return report
@@ -312,15 +315,11 @@ class QuotientAlgebra:
         return {i: self.field.one() for i in self.vertex_unit.values()}
 
 
-def quotient_algebra(pres, length_bound=None, trace=None) -> QuotientAlgebra:
+def quotient_algebra(pres, trace=None) -> QuotientAlgebra:
     """Complete the system, then enumerate the irreducible-path basis."""
     system = ReductionSystem.from_presentation(pres, trace=trace)
     acyclic = pres.quiver.is_acyclic()
-    if length_bound is None:
-        if acyclic:
-            length_bound = max(pres.quiver.longest_path_length(), 2)
-        else:
-            length_bound = DEFAULT_CYCLIC_BOUND
+    length_bound = max(pres.quiver.longest_path_length(), 2) if acyclic else DEFAULT_CYCLIC_BOUND
     system.complete(length_bound)
 
     basis = []

@@ -1,7 +1,13 @@
+import gc
 import random
+import weakref
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quiverhh.dsl import parse_presentation
 from quiverhh.errors import EngineError
 from quiverhh.families import (
     incidence_presentation,
@@ -23,7 +29,7 @@ from quiverhh.hochschild import (
     hh_classes,
     hh_report,
 )
-from quiverhh.linalg import vec_add
+from quiverhh.linalg import vec_add, vec_iadd
 from quiverhh.sl2 import PsiTensor, parse_psi
 
 FIELD = Rationals()
@@ -192,8 +198,6 @@ relations { x*x ; y*y ; x*y + y*x ; }
 def test_d_squared_zero_check_on_cyclic_quiver():
     # the exterior algebra on two loops has no small complex, so the d^2
     # check is the only certificate its report carries
-    from quiverhh.dsl import parse_presentation
-
     pres = parse_presentation(EXTERIOR_TEXT)
     assert d_squared_zero(_engine(pres, nmax=4).bar)
     for n in (2, 3):
@@ -421,3 +425,145 @@ def test_classes_beyond_window_rejected():
         _engine(pres, nmax=1).classes(2)
     eng = _engine(pres, nmax=2)
     assert len(eng.classes(2)) == eng.bar.hh_dim(2) == 6
+
+
+def test_hh1_basis_built_once_for_both_products(monkeypatch):
+    eng = _engine(p1p1_presentation(FIELD, PsiTensor.zero(FIELD)))
+    bar = eng.bar
+    kernel = bar._echelon(1).kernel.rows
+    image = bar.coboundaries(1)
+    reduce = image.reduce
+    reduced = []
+
+    def counting_reduce(v):
+        if any(v is row for row in kernel):
+            reduced.append(v)
+        return reduce(v)
+
+    monkeypatch.setattr(image, "reduce", counting_reduce)
+    assert eng.cup_rank() == (9, True)
+    assert eng.bracket_rank() == 6
+    assert len(reduced) == len(kernel) > 0
+
+
+def test_engine_holds_no_reference_cycle():
+    # dropping an engine frees its matrices at once, not at the cyclic
+    # garbage collector's next run, which would raise peak memory
+    gc.disable()
+    try:
+        eng = _engine(pi_presentation(FIELD))
+        eng.cup_rank()
+        eng.bracket_rank()
+        bar = weakref.ref(eng.bar)
+        del eng
+        assert bar() is None
+    finally:
+        gc.enable()
+
+
+def test_cochain_keys_outside_their_degree_rejected():
+    bar = _engine(pi_presentation(FIELD)).bar
+    one = FIELD.one()
+    for bad in (-1, bar.dim(1)):
+        with pytest.raises(EngineError):
+            bar.cup_cochain({bad: one}, 1, {0: one}, 1)
+        with pytest.raises(EngineError):
+            bar.cup_cochain({0: one}, 1, {bad: one}, 1)
+        with pytest.raises(EngineError):
+            bar.circle_cochain({0: one}, 1, {bad: one}, 1)
+
+
+# --- dense reference for the products -----------------------------------
+# The per-tuple formulas: scan every tuple of the target degree and evaluate
+# both operands on its segments.
+
+
+def _vertex_at(A, t, pos):
+    """The vertex between t[pos - 1] and t[pos]; t itself when it is a vertex."""
+    if isinstance(t, int):
+        return t
+    return A.target(t[pos]) if pos < len(t) else A.source(t[-1])
+
+
+def _value(bar, vec, n, seg):
+    """Value of a degree-n cochain on a tuple (a vertex when n = 0)."""
+    A = bar.algebra
+    ends = (seg, seg) if n == 0 else (A.source(seg[-1]), A.target(seg[0]))
+    off = bar.offset[n][bar.tuple_index[n][seg]]
+    return {b: vec[off + j] for j, b in enumerate(A.parallel(*ends)) if off + j in vec}
+
+
+def _dense_cup(bar, fvec, p, gvec, q):
+    A = bar.algebra
+    out = {}
+    for ti, t in enumerate(bar.tuples[p + q]):
+        fseg = t[:p] if p else _vertex_at(A, t, 0)
+        gseg = t[p:] if q else _vertex_at(A, t, p)
+        prod = A.mul_vec(_value(bar, fvec, p, fseg), _value(bar, gvec, q, gseg))
+        for k, c in prod.items():
+            out[bar.offset[p + q][ti] + A.slot[k]] = c
+    return out
+
+
+def _dense_circle(bar, fvec, p, gvec, q):
+    A, f = bar.algebra, bar.field
+    n = p + q - 1
+    out = {}
+    for ti, t in enumerate(bar.tuples[n]):
+        acc = {}
+        for i in range(p):
+            sign = f.from_int((-1) ** ((q - 1) * i))
+            for w, cw in _value(bar, gvec, q, t[i : i + q]).items():
+                if A.basis[w].is_trivial():
+                    continue
+                u = t[:i] + (w,) + t[i + q :]
+                vec_iadd(f, acc, _value(bar, fvec, p, u), f.mul(sign, cw))
+        for k, c in acc.items():
+            out[bar.offset[n][ti] + A.slot[k]] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_bar(name):
+    f7 = PrimeField(7)
+    presentations = {
+        "exterior": lambda: parse_presentation(EXTERIOR_TEXT),
+        "torus-c fp:7": lambda: incidence_presentation(torus_cubical_complex(), f7, 2),
+        "p1p1": lambda: p1p1_presentation(FIELD, parse_psi("ee:1,hf:2", FIELD)),
+        "monomial 7": lambda: random_monomial_presentation(FIELD, 7),
+    }
+    return _engine(presentations[name]()).bar
+
+
+@st.composite
+def _cochain(draw, bar, n):
+    """A sparse or a dense degree-n cochain; either may store zeros."""
+    dim = bar.dim(n)
+    scalars = st.integers(min_value=-2, max_value=2)
+    if dim and draw(st.booleans()):
+        raw = dict(enumerate(draw(st.lists(scalars, min_size=dim, max_size=dim))))
+    else:
+        keys = st.integers(min_value=0, max_value=max(dim - 1, 0))
+        raw = draw(st.dictionaries(keys, scalars, max_size=6)) if dim else {}
+    return {k: bar.field.from_int(v) for k, v in raw.items()}
+
+
+@st.composite
+def _product_case(draw):
+    bar = _product_bar(draw(st.sampled_from(["exterior", "torus-c fp:7", "p1p1", "monomial 7"])))
+    kind = draw(st.sampled_from(["cup", "circle"]))
+    if kind == "cup":
+        p, q = draw(st.sampled_from([(p, q) for p in range(3) for q in range(3)]))
+    else:
+        p, q = draw(st.sampled_from([(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p + q <= 4]))
+    return bar, kind, draw(_cochain(bar, p)), p, draw(_cochain(bar, q)), q
+
+
+@settings(deadline=None, max_examples=150)
+@given(_product_case())
+def test_products_match_dense_reference(case):
+    bar, kind, fvec, p, gvec, q = case
+    if kind == "cup":
+        assert bar.cup_cochain(fvec, p, gvec, q) == _dense_cup(bar, fvec, p, gvec, q)
+    else:
+        assert bar.circle_cochain(fvec, p, gvec, q) == _dense_circle(bar, fvec, p, gvec, q)

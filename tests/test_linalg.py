@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quiverhh import linalg
 from quiverhh.errors import EngineError
 from quiverhh.fields import PrimeField, Rationals
 from quiverhh.linalg import SparseMatrix, echelon, rref, vec_add, vec_iadd
@@ -59,6 +60,31 @@ def test_rank_nullity_random():
             assert res.rank == echelon(m.transpose()).rank
             for v in res.kernel.rows:
                 assert not m.apply(v)
+
+
+def test_echelon_eliminates_once(monkeypatch):
+    # the kernel vectors come out reduced on the free columns, so echelon
+    # needs no second elimination over them
+    calls = []
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or real_rref(*args))
+    rng = random.Random(11)
+    for field in (FIELD, PrimeField(7)):
+        for _ in range(25):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            m = SparseMatrix(rows, cols, field)
+            for _ in range(rng.randint(0, rows * cols)):
+                m.add(rng.randrange(rows), rng.randrange(cols), field.from_int(rng.randint(-4, 4)))
+            calls.clear()
+            res = linalg.echelon(m)
+            assert len(calls) == 1
+            kernel = res.kernel
+            assert kernel.dim == cols - res.rank
+            assert sorted(kernel.pivots + res.row_space.pivots) == list(range(cols))
+            for row, piv in zip(kernel.rows, kernel.pivots):
+                assert not m.apply(row)
+                assert row[piv] == field.one()
+                assert not any(other in row for other in kernel.pivots if other != piv)
 
 
 def test_quotient_coords_examples():

@@ -5,15 +5,19 @@ import pytest
 from quiverhh.dsl import parse_presentation
 from quiverhh.errors import CompletionError, InfiniteDimensionalError
 from quiverhh.families import (
+    FAMILY_NAMES,
+    family_presentation,
     incidence_presentation,
     p1p1_presentation,
     pi_presentation,
+    random_monomial_presentation,
     torus_cubical_complex,
     torus_simplicial_complex,
 )
-from quiverhh.fields import Rationals
+from quiverhh.fields import PrimeField, Rationals
 from quiverhh.quiver import AlgebraElement, enumerate_paths, path_from_names
 from quiverhh.rewrite import ReductionSystem, quotient_algebra
+from quiverhh.sl2 import parse_psi
 
 FIELD = Rationals()
 
@@ -209,3 +213,70 @@ def test_trace_mode_logs_ambiguities():
     sys_ = ReductionSystem.from_presentation(pres, trace=lines.append)
     sys_.check_confluence()
     assert any("overlap" in line for line in lines)
+
+
+def _brute_force_redex(system, path):
+    """First (position, rule) by scanning every rule at every position."""
+    arrows = path.arrows
+    for pos in range(len(arrows)):
+        for rule in system.rules:
+            la = rule.leading.arrows
+            if arrows[pos : pos + len(la)] == la:
+                return pos, rule
+    return None
+
+
+def _brute_force_ambiguities(system):
+    """Overlaps and inclusions over every ordered pair of rules."""
+    out = []
+    for i, ra in enumerate(system.rules):
+        a = ra.leading.arrows
+        for j, rb in enumerate(system.rules):
+            b = rb.leading.arrows
+            for t in range(1, min(len(a), len(b))):
+                if a[len(a) - t :] == b[:t]:
+                    out.append(("overlap", i, j, a + b[t:], len(a) - t))
+            if i != j and len(b) < len(a):
+                for pos in range(len(a) - len(b) + 1):
+                    if a[pos : pos + len(b)] == b:
+                        out.append(("inclusion", i, j, a, pos))
+    return out
+
+
+_EXTERIOR = """
+field fp:7
+quiver { vertices: o ; arrows: x: o -> o ; y: o -> o }
+relations { x*x ; y*y ; x*y + y*x ; }
+"""
+
+# c*b sits inside c*b*a, and e*d (the leading word of e*d - b*a) inside c*e*d
+_NESTED_LEADING_WORDS = """
+field rational
+quiver { vertices: v1 v2 v3 v4 ;
+         arrows: a: v1 -> v2 ; d: v1 -> v2 ; b: v2 -> v3 ; e: v2 -> v3 ; c: v3 -> v4 }
+relations { c*b ; c*b*a ; e*d - b*a ; c*e*d ; }
+"""
+
+
+def _rule_index_systems():
+    psi = parse_psi("ee:1,hf:2", FIELD)
+    for name in FAMILY_NAMES:
+        pres = family_presentation(name, FIELD, q=FIELD.from_int(2), psi=psi)
+        yield name, quotient_algebra(pres).system, 4
+    yield "exterior", quotient_algebra(parse_presentation(_EXTERIOR)).system, 5
+    for seed in range(20):
+        pres = random_monomial_presentation(PrimeField(7), seed)
+        yield f"monomial {seed}", quotient_algebra(pres).system, 4
+    pres = parse_presentation(_NESTED_LEADING_WORDS)
+    yield "nested", ReductionSystem.from_presentation(pres), 3
+    yield "nested completed", quotient_algebra(pres).system, 3
+
+
+def test_first_arrow_index_matches_brute_force():
+    for name, system, length in _rule_index_systems():
+        ambiguities = system._ambiguities()
+        assert ambiguities == _brute_force_ambiguities(system), name
+        if name == "nested":
+            assert [amb[0] for amb in ambiguities].count("inclusion") == 2
+        for path in enumerate_paths(system.quiver, length):
+            assert system._find_redex(path) == _brute_force_redex(system, path), (name, path)
