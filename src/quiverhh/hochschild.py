@@ -21,6 +21,8 @@ Products read only their operands' nonzero blocks, decoded into
 of g that ends where it starts, and the circle product puts a block of g in
 place of each entry of a block of f that is one of g's values on it.  Their
 cost follows the operands' nonzero coordinates, not the target degree's size.
+A class keeps its decoded blocks, so ``cup`` and ``bracket`` decode each
+operand class once however many products it enters.
 """
 
 from __future__ import annotations
@@ -44,15 +46,22 @@ class CohomologyClass:
     the echelon basis of the coboundary image.  It is zero iff the class is.
     """
 
-    __slots__ = ("degree", "vector", "complex")
+    __slots__ = ("degree", "vector", "complex", "_blocks")
 
     def __init__(self, degree, vector, complex_):
         self.degree = degree
         self.vector = vector
         self.complex = complex_
+        self._blocks = None
 
     def is_zero(self):
         return not self.vector
+
+    def blocks(self):
+        """The representative as {tuple: {value: coeff}}, decoded on first use."""
+        if self._blocks is None:
+            self._blocks = self.complex._blocks(self.vector, self.degree)
+        return self._blocks
 
     def __repr__(self):
         return f"CohomologyClass(degree {self.degree}, {len(self.vector)} terms)"
@@ -139,13 +148,17 @@ class RelativeBarComplex:
         """A degree-n cochain as {tuple: {value: coeff}}, over the blocks it has entries in."""
         offsets, tuples = self.offset[n], self.tuples[n]
         out = {}
-        for k, c in vec.items():
-            if not 0 <= k < offsets[-1]:
-                raise EngineError(f"coordinate {k} outside C^{n}")
-            ti = bisect_right(offsets, k) - 1
-            t = tuples[ti]
-            values = self.algebra.parallel(*self._ends(n, t))
-            out.setdefault(t, {})[values[k - offsets[ti]]] = c
+        start = end = 0
+        # in sorted order a block's keys are contiguous: look its values up once
+        for k in sorted(vec):
+            if not start <= k < end:
+                if not 0 <= k < offsets[-1]:
+                    raise EngineError(f"coordinate {k} outside C^{n}")
+                ti = bisect_right(offsets, k) - 1
+                start, end = offsets[ti], offsets[ti + 1]
+                values = self.algebra.parallel(*self._ends(n, tuples[ti]))
+                block = out[tuples[ti]] = {}
+            block[values[k - start]] = vec[k]
         return out
 
     def _vector(self, blocks, n):
@@ -253,14 +266,18 @@ class RelativeBarComplex:
 
     def cup_cochain(self, fvec, p, gvec, q):
         """(f cup g)(x1..x_{p+q}) = f(x1..xp) * g(x_{p+1}..x_{p+q})."""
+        return self._cup(self._blocks(fvec, p), p, self._blocks(gvec, q), q)
+
+    def _cup(self, fblocks, p, gblocks, q):
+        """``cup_cochain`` on decoded operands."""
         n = p + q
         if n > self.nmax + 1:
             raise EngineError("cup lands beyond the computed window")
         by_target = {}
-        for tg, gvals in self._blocks(gvec, q).items():
+        for tg, gvals in gblocks.items():
             by_target.setdefault(self._ends(q, tg)[1], []).append((tg, gvals))
         out = {}
-        for tf, fvals in self._blocks(fvec, p).items():
+        for tf, fvals in fblocks.items():
             for tg, gvals in by_target.get(self._ends(p, tf)[0], ()):
                 # a degree-0 operand is a vertex, the unit of the join
                 t = tf if q == 0 else tg if p == 0 else tf + tg
@@ -270,6 +287,10 @@ class RelativeBarComplex:
     def circle_cochain(self, fvec, p, gvec, q):
         """Gerstenhaber pre-Lie circle product of cochains of degrees p, q >= 1:
         (f o g)(x1..xn) = sum_i (-1)^((q-1)i) f(x1..xi, g(x_{i+1}..x_{i+q}), ..)."""
+        return self._circle(self._blocks(fvec, p), p, self._blocks(gvec, q), q)
+
+    def _circle(self, fblocks, p, gblocks, q):
+        """``circle_cochain`` on decoded operands."""
         if p < 1 or q < 1:
             raise EngineError("circle product needs positive degrees")
         f = self.field
@@ -281,11 +302,11 @@ class RelativeBarComplex:
         # f's blocks by (position, entry); entries are radical indices, so a
         # trivial value of g matches none
         by_entry = {}
-        for u, fvals in self._blocks(fvec, p).items():
+        for u, fvals in fblocks.items():
             for i, x in enumerate(u):
                 by_entry.setdefault((i, x), []).append((u, fvals))
         out = {}
-        for tg, gvals in self._blocks(gvec, q).items():
+        for tg, gvals in gblocks.items():
             for w, cw in gvals.items():
                 for i, s in enumerate(signs):
                     # w is parallel to tg, so putting tg in its place gives a tuple
@@ -298,15 +319,15 @@ class RelativeBarComplex:
         if fc.complex is not self or gc.complex is not self:
             raise EngineError("classes belong to a different complex")
         n = fc.degree + gc.degree
-        vec = self.cup_cochain(fc.vector, fc.degree, gc.vector, gc.degree)
+        vec = self._cup(fc.blocks(), fc.degree, gc.blocks(), gc.degree)
         return CohomologyClass(n, self.canonical(vec, n), self)
 
     def bracket(self, fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
         if fc.complex is not self or gc.complex is not self:
             raise EngineError("classes belong to a different complex")
         p, q = fc.degree, gc.degree
-        fg = self.circle_cochain(fc.vector, p, gc.vector, q)
-        gf = self.circle_cochain(gc.vector, q, fc.vector, p)
+        fg = self._circle(fc.blocks(), p, gc.blocks(), q)
+        gf = self._circle(gc.blocks(), q, fc.blocks(), p)
         f = self.field
         sign = f.one() if ((p - 1) * (q - 1)) % 2 == 0 else f.from_int(-1)
         vec = vec_add(f, fg, gf, f.neg(sign))

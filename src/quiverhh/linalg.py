@@ -3,9 +3,18 @@
 Vectors are dicts {column: nonzero scalar}: a sparse vector never stores a
 zero.  ``vec_iadd`` is the one place that adds into a sparse vector, so it is
 the one place that maintains the invariant; ``SubspaceBasis.reduce`` and
-``rref`` drop zeros from the vectors they are given.  Elimination is plain
-Gauss-Jordan with unit pivots; over the rationals Fraction keeps every entry
-reduced, which bounds coefficient growth at the sizes this engine meets.
+``rref`` drop zeros from the vectors they are given.
+
+Elimination is ordered for low fill-in, not by the input order: ``rref``
+takes its vectors by leading column, largest first, and only top-reduces each
+one (clears its leading entry against the row already pivoted there, until it
+reaches a new pivot).  One back-substitution from the largest pivot down then
+clears every other pivot out of each row; the rows it subtracts are already
+final when it reaches a row.  The reduced row echelon form of a subspace is
+unique, so the order changes the cost and not the output: every basis, class
+and report is the one plain Gauss-Jordan elimination gives.  Over the
+rationals Fraction keeps every entry reduced, which bounds coefficient growth
+at the sizes this engine meets.
 """
 
 from __future__ import annotations
@@ -97,19 +106,25 @@ class SubspaceBasis:
         self.field = field
         self.rows = list(rows)
         self.pivots = list(pivots)
+        self._row_at = dict(zip(self.pivots, self.rows))
 
     @property
     def dim(self):
         return len(self.rows)
 
     def reduce(self, v: dict) -> dict:
-        """Canonical representative of v modulo this subspace."""
+        """Canonical representative of v modulo this subspace.
+
+        Relies on the basis being reduced (0 at every pivot but its own):
+        subtracting the row of pivot p clears p and leaves v's coefficient at
+        every other pivot as it was.  So v's own pivot keys are each visited
+        once, in sorted order, and the same multiples are subtracted as by a
+        walk over every row."""
         f = self.field
         out = _entry_vector(f, v, self.ambient)
-        for row, piv in zip(self.rows, self.pivots):
-            c = out.get(piv)
-            if c is not None:
-                vec_iadd(f, out, row, f.neg(c))
+        row_at = self._row_at
+        for piv in sorted(k for k in out if k in row_at):
+            vec_iadd(f, out, row_at[piv], f.neg(out[piv]))
         return out
 
     def __eq__(self, other):
@@ -140,30 +155,35 @@ def _entry_vector(field, v, ambient):
 
 
 def rref(field, vectors, ambient):
-    """Reduced row echelon form of a list of dict-vectors."""
-    basis_rows = []
-    pivots = []
-    for v in vectors:
+    """Reduced row echelon form of a list of dict-vectors.
+
+    The vectors are copied one at a time, taken by leading column, largest
+    first.  Each is top-reduced against the rows pivoted so far until its
+    leading column is a new pivot, where it is scaled to 1.  Back-substitution
+    then runs once, from the largest pivot down, and makes the basis reduced:
+    the row of pivot p gets 0 at every other pivot.  Those pivots are all
+    larger than p, and their rows are already reduced when p is reached, so
+    subtracting one of them clears its pivot and adds entries at non-pivot
+    columns only."""
+    rows = {}
+    for v in sorted((v for v in vectors if v), key=min, reverse=True):
         v = _entry_vector(field, v, ambient)
-        for row, piv in zip(basis_rows, pivots):
-            c = v.get(piv)
-            if c is not None:
-                vec_iadd(field, v, row, field.neg(c))
-        if not v:
-            continue
-        piv = min(v)
-        v = vec_scale(field, v, field.inv(v[piv]))
-        for i, row in enumerate(basis_rows):
-            c = row.get(piv)
-            if c is not None:
-                # a fresh copy keeps the kept row's hash table compact
-                basis_rows[i] = vec_add(field, row, v, field.neg(c))
-        basis_rows.append(v)
-        pivots.append(piv)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return SubspaceBasis(
-        ambient, field, [basis_rows[i] for i in order], [pivots[i] for i in order]
-    )
+        while v:
+            piv = min(v)
+            row = rows.get(piv)
+            if row is None:
+                rows[piv] = vec_scale(field, v, field.inv(v[piv]))
+                break
+            vec_iadd(field, v, row, field.neg(v[piv]))
+    pivots = sorted(rows)
+    for piv in reversed(pivots):
+        row = rows[piv]
+        later = [k for k in row if k != piv and k in rows]
+        if later:
+            rows[piv] = out = dict(row)
+            for k in later:
+                vec_iadd(field, out, rows[k], field.neg(row[k]))
+    return SubspaceBasis(ambient, field, [rows[p] for p in pivots], pivots)
 
 
 class EchelonResult:
@@ -179,22 +199,21 @@ def echelon(m: SparseMatrix) -> EchelonResult:
     """Exact rank, RREF row-space basis, and kernel basis of m.
 
     The kernel has one vector per free column c: 1 at c and minus the entries
-    of column c at the row-space pivots.  It is reduced on the free columns
-    (1 at its own, 0 at every other), which serve as its pivots."""
+    of column c at the row-space pivots, read in one pass over the rows.  It
+    is reduced on the free columns (1 at its own, 0 at every other), which
+    serve as its pivots."""
     f = m.field
     row_space = rref(f, m.rows(), m.ncols)
     pivset = set(row_space.pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivset]
-    kernel_vectors = []
-    for c in free_cols:
-        v = {c: f.one()}
-        for row, piv in zip(row_space.rows, row_space.pivots):
-            x = row.get(c)
-            if x is not None:
-                v[piv] = f.neg(x)
-        kernel_vectors.append(v)
-    kernel = SubspaceBasis(m.ncols, f, kernel_vectors, free_cols)
-    return EchelonResult(row_space.dim, row_space, kernel)
+    kernel = {c: {c: f.one()} for c in range(m.ncols) if c not in pivset}
+    # every entry of a reduced row off its pivot sits in a free column
+    for row, piv in zip(row_space.rows, row_space.pivots):
+        for c, x in row.items():
+            if c != piv:
+                kernel[c][piv] = f.neg(x)
+    return EchelonResult(
+        row_space.dim, row_space, SubspaceBasis(m.ncols, f, kernel.values(), kernel)
+    )
 
 
 def column_space(m: SparseMatrix) -> SubspaceBasis:

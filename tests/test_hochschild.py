@@ -446,6 +446,26 @@ def test_hh1_basis_built_once_for_both_products(monkeypatch):
     assert len(reduced) == len(kernel) > 0
 
 
+def test_each_hh1_class_decoded_once_per_product_rank(monkeypatch):
+    eng = _engine(p1p1_presentation(FIELD, PsiTensor.zero(FIELD)))
+    bar = eng.bar
+    decode = bar._blocks
+    decoded = []
+
+    def counting_blocks(vec, n):
+        decoded.append(n)
+        return decode(vec, n)
+
+    monkeypatch.setattr(bar, "_blocks", counting_blocks)
+    k = len(eng.classes(1))
+    assert k > 1
+    assert eng.cup_rank() == (9, True)  # k^2 cups
+    assert decoded == [1] * k
+    decoded.clear()
+    assert eng.bracket_rank() == 6  # k(k-1)/2 brackets, two circles each
+    assert decoded == [1] * k
+
+
 def test_engine_holds_no_reference_cycle():
     # dropping an engine frees its matrices at once, not at the cyclic
     # garbage collector's next run, which would raise peak memory

@@ -7,8 +7,19 @@ from hypothesis import strategies as st
 
 from quiverhh import linalg
 from quiverhh.errors import EngineError
+from quiverhh.families import CellComplexData, incidence_presentation
 from quiverhh.fields import PrimeField, Rationals
-from quiverhh.linalg import SparseMatrix, echelon, rref, vec_add, vec_iadd
+from quiverhh.hochschild import HochschildCohomology
+from quiverhh.linalg import (
+    SparseMatrix,
+    SubspaceBasis,
+    _entry_vector,
+    echelon,
+    rref,
+    vec_add,
+    vec_iadd,
+    vec_scale,
+)
 
 FIELD = Rationals()
 
@@ -192,3 +203,138 @@ def test_coordinate_dump_format():
     dump = m.dump_coordinates()
     assert dump.splitlines()[0] == "2 2"
     assert "1 1 -2" in dump
+
+
+# --- plain Gauss-Jordan references ----------------------------------------
+# Each vector in input order is reduced against every row so far, and every
+# row is then cleared at its pivot; the kernel is read per free column;
+# reduce walks every row.  The reduced row echelon form of a subspace is
+# unique, so the elimination order of ``rref`` must not change any of them.
+
+
+def _reference_rref(field, vectors, ambient):
+    basis_rows = []
+    pivots = []
+    for v in vectors:
+        v = _entry_vector(field, v, ambient)
+        for row, piv in zip(basis_rows, pivots):
+            c = v.get(piv)
+            if c is not None:
+                vec_iadd(field, v, row, field.neg(c))
+        if not v:
+            continue
+        piv = min(v)
+        v = vec_scale(field, v, field.inv(v[piv]))
+        for i, row in enumerate(basis_rows):
+            c = row.get(piv)
+            if c is not None:
+                basis_rows[i] = vec_add(field, row, v, field.neg(c))
+        basis_rows.append(v)
+        pivots.append(piv)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return SubspaceBasis(
+        ambient, field, [basis_rows[i] for i in order], [pivots[i] for i in order]
+    )
+
+
+def _reference_reduce(basis, v):
+    f = basis.field
+    out = _entry_vector(f, v, basis.ambient)
+    for row, piv in zip(basis.rows, basis.pivots):
+        c = out.get(piv)
+        if c is not None:
+            vec_iadd(f, out, row, f.neg(c))
+    return out
+
+
+def _reference_kernel(m, row_space):
+    f = m.field
+    pivset = set(row_space.pivots)
+    free_cols = [c for c in range(m.ncols) if c not in pivset]
+    kernel_vectors = []
+    for c in free_cols:
+        v = {c: f.one()}
+        for row, piv in zip(row_space.rows, row_space.pivots):
+            x = row.get(c)
+            if x is not None:
+                v[piv] = f.neg(x)
+        kernel_vectors.append(v)
+    return SubspaceBasis(m.ncols, f, kernel_vectors, free_cols)
+
+
+@st.composite
+def _vector_lists(draw):
+    """A field, an ambient size and vectors in it: with stored zeros, empty
+    vectors and repeated vectors (the same dict, or a multiple of one)."""
+    field, scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    ambient = draw(st.integers(min_value=1, max_value=AMBIENT + 2))
+    keys = st.integers(min_value=0, max_value=ambient - 1)
+    vectors = draw(st.lists(st.dictionaries(keys, scalars, max_size=ambient), max_size=9))
+    for i in draw(st.lists(st.integers(min_value=0, max_value=max(len(vectors) - 1, 0)))):
+        if vectors:
+            c = field.from_int(draw(st.integers(min_value=1, max_value=4)))
+            vectors.append(vectors[i] if draw(st.booleans()) else vec_scale(field, vectors[i], c))
+    probe = draw(st.dictionaries(keys, scalars))
+    return field, ambient, vectors, probe, draw(st.randoms(use_true_random=False))
+
+
+@given(_vector_lists())
+def test_rref_matches_gauss_jordan_in_any_order(case):
+    field, ambient, vectors, probe, rng = case
+    before = [dict(v) for v in vectors]
+    want = _reference_rref(field, vectors, ambient)
+    got = rref(field, vectors, ambient)
+    assert got == want
+    assert vectors == before  # the inputs are copied, not reduced in place
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    assert rref(field, shuffled, ambient) == want
+    assert got.reduce(probe) == _reference_reduce(want, probe)
+
+
+@given(_vector_lists())
+def test_echelon_matches_gauss_jordan(case):
+    field, ambient, vectors, probe, _ = case
+    m = SparseMatrix(len(vectors), ambient, field)
+    for r, v in enumerate(vectors):
+        for c, x in v.items():
+            m.add(r, c, x)
+    res = echelon(m)
+    assert res.row_space == _reference_rref(field, m.rows(), ambient)
+    assert res.kernel == _reference_kernel(m, res.row_space)
+    assert res.kernel.reduce(probe) == _reference_reduce(res.kernel, probe)
+    assert res.row_space.reduce(probe) == _reference_reduce(res.row_space, probe)
+
+
+def _torus_grid(n):
+    """n x n periodic cubical torus: vertex (r, c) is n*r + c, edge h runs
+    right and v down from it, each square walks its corners clockwise."""
+
+    def vertex(r, c):
+        return n * (r % n) + (c % n)
+
+    edges, faces = [], []
+    for r in range(n):
+        for c in range(n):
+            edges.append((f"h{r}_{c}", (vertex(r, c), vertex(r, c + 1))))
+            edges.append((f"v{r}_{c}", (vertex(r, c), vertex(r + 1, c))))
+            faces.append([
+                (vertex(r, c), f"h{r}_{c}"),
+                (vertex(r, c + 1), f"v{r}_{(c + 1) % n}"),
+                (vertex(r + 1, c + 1), f"h{(r + 1) % n}_{c}"),
+                (vertex(r + 1, c), f"v{r}_{c}"),
+            ])
+    return CellComplexData(range(n * n), edges, faces)
+
+
+def test_rref_of_torus_grid_d0_independent_of_input_order():
+    pres = incidence_presentation(_torus_grid(3), FIELD, FIELD.from_int(2))
+    d0 = HochschildCohomology(pres).bar.differential(0)
+    rng = random.Random(6)
+    for vectors, ambient in ((d0.rows(), d0.ncols), (d0.transpose().rows(), d0.nrows)):
+        want = _reference_rref(FIELD, vectors, ambient)
+        assert 0 < want.dim < len(vectors)
+        assert rref(FIELD, vectors, ambient) == want
+        for _ in range(5):
+            rng.shuffle(vectors)
+            assert rref(FIELD, vectors, ambient) == want
