@@ -38,8 +38,13 @@ DIM_TRIPLES = {(1, 0, 3), (1, 1, 4), (1, 2, 5), (1, 3, 6), (1, 6, 9)}
 
 def _rand_scalar(field, rng):
     if field.kind == "rationals":
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return field.div(field.from_int(rng.randint(-9, 9)), field.from_int(rng.randint(1, 9)))
     return rng.randrange(field.p)
+
+
+def _canonical_rational(x) -> bool:
+    """An int, or a Fraction that is not integral: the one form Rationals keeps."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def check_field_axioms(seed):
@@ -47,11 +52,26 @@ def check_field_axioms(seed):
     for field in (Rationals(), PrimeField(7), PrimeField(101)):
         for _ in range(50):
             a, b, c = (_rand_scalar(field, rng) for _ in range(3))
-            assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
-            assert field.add(a, field.add(b, c)) == field.add(field.add(a, b), c)
-            assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+            lhs = (
+                field.mul(a, field.mul(b, c)),
+                field.add(a, field.add(b, c)),
+                field.mul(a, field.add(b, c)),
+                field.sub(field.add(a, b), b),
+            )
+            rhs = (
+                field.mul(field.mul(a, b), c),
+                field.add(field.add(a, b), c),
+                field.add(field.mul(a, b), field.mul(a, c)),
+                a,
+            )
+            assert lhs == rhs
+            results = (a, b, c) + lhs + rhs
             if not field.is_zero(a):
-                assert field.mul(a, field.inv(a)) == field.one()
+                inv = field.inv(a)
+                assert field.mul(a, inv) == field.one()
+                results += (inv, field.neg(inv))
+            if field.kind == "rationals":
+                assert all(_canonical_rational(x) for x in results)
 
 
 def check_scalar_roundtrip(seed):
@@ -59,7 +79,8 @@ def check_scalar_roundtrip(seed):
     for field in (Rationals(), PrimeField(13)):
         for _ in range(50):
             a = _rand_scalar(field, rng)
-            assert field.parse_scalar(field.format_scalar(a)) == a
+            back = field.parse_scalar(field.format_scalar(a))
+            assert back == a and type(back) is type(a)
 
 
 def check_roots_of_unity(seed):
@@ -184,7 +205,7 @@ def check_fp_rational_rank_agreement(seed):
         for _ in range(rng.randint(1, rows * cols)):
             r, c, v = rng.randrange(rows), rng.randrange(cols), rng.randint(-3, 3)
             if v:
-                mq.add(r, c, Fraction(v))
+                mq.add(r, c, rat.from_int(v))
                 mp.add(r, c, v % big.p)
         assert echelon(mq).rank == echelon(mp).rank
 

@@ -60,9 +60,7 @@ def build_report(pres, nmax, field, family=None, file=None, params=None, seed=No
         "bracket": {"hh1_bracket_rank": eng.bracket_rank()},
         "checks": {
             "d_squared_zero": _d_squared_zero(eng.bar),
-            "small_bar_agree": (
-                None if report.small_hh is None else list(report.small_hh) == list(report.dims[:3])
-            ),
+            "small_bar_agree": report.small_bar_agree,
             "euler_consistent": (
                 None
                 if report.euler is None
@@ -191,7 +189,7 @@ def cmd_table(args, stream):
                         "hh0": report.dims[0],
                         "hh1": report.dims[1],
                         "hh2": report.dims[2],
-                        "small_bar_agree": list(report.small_hh) == list(report.dims[:3]),
+                        "small_bar_agree": report.small_bar_agree,
                     }
                 )
     elif args.name == "feasibility":
@@ -254,6 +252,11 @@ def main(argv=None, stream=None):
     stream = stream if stream is not None else sys.stdout
     parser = make_parser()
     args = parser.parse_args(argv)
+    # a report reads HH^1 for its products; these tables print HH^2
+    if args.command == "report" and args.nmax < 1:
+        parser.error("report needs --nmax >= 1")
+    if args.command == "table" and args.name in ("psi-examples", "torus-sweep") and args.nmax < 2:
+        parser.error(f"table {args.name} needs --nmax >= 2")
     try:
         if args.command == "report":
             return cmd_report(args, stream)

@@ -1,12 +1,15 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalar values are plain Python objects: ``fractions.Fraction`` for the
-rationals, ``int`` residues in [0, p) for F_p.  A field object supplies the
-operations, so the linear algebra and rewriting layers stay field-agnostic.
+Scalar values are plain Python objects.  A rational is kept in one canonical
+form: an ``int`` when it is integral, a ``fractions.Fraction`` with
+denominator > 1 otherwise.  An element of F_p is an ``int`` residue in
+[0, p).  A field object supplies the operations, so the linear algebra and
+rewriting layers stay field-agnostic.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -85,27 +88,45 @@ class Field:
         return str(a)
 
 
+def _canonical(x):
+    """A rational in canonical form: the int itself, or a Fraction's numerator
+    when its denominator is 1."""
+    if x.__class__ is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class Rationals(Field):
+    """The rationals, each scalar an ``int`` when integral and a ``Fraction``
+    with denominator > 1 otherwise.
+
+    The scalars of the engine's algebras are mostly integers, and int
+    arithmetic skips the normalisation every Fraction operation runs.
+    ``add``, ``sub``, ``mul``, ``inv`` and ``parse_scalar`` return canonical
+    scalars; ``neg`` keeps its argument's form.  An int and a Fraction of the
+    same value compare and hash equal and print the same text, so the form
+    never shows in a coordinate or a report."""
+
     kind = "rationals"
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -113,7 +134,7 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
-        return 1 / Fraction(a)
+        return _canonical(Fraction(a.denominator, a.numerator))
 
     def is_zero(self, a):
         return a == 0
@@ -121,10 +142,10 @@ class Rationals(Field):
     def parse_scalar(self, text):
         text = text.strip()
         if _INT_RE.match(text):
-            return Fraction(int(text))
+            return int(text)
         m = _FRAC_RE.match(text)
         if m:
-            return Fraction(int(m.group(1)), int(m.group(2)))
+            return _canonical(Fraction(int(m.group(1)), int(m.group(2))))
         raise ParseError(f"bad rational literal {text!r}")
 
     def __repr__(self):

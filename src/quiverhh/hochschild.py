@@ -215,8 +215,10 @@ class RelativeBarComplex:
         return m
 
     def _echelon(self, n):
+        """(rank, kernel basis) of d^n; the RREF row space is not kept."""
         if n not in self._ech:
-            self._ech[n] = echelon(self.differential(n))
+            ech = echelon(self.differential(n))
+            self._ech[n] = ech.rank, ech.kernel
         return self._ech[n]
 
     def coboundaries(self, n):
@@ -231,7 +233,7 @@ class RelativeBarComplex:
     def rank(self, n):
         if self.dim(n) == 0 or self.dim(n + 1) == 0:
             return 0
-        return self._echelon(n).rank
+        return self._echelon(n)[0]
 
     def hh_dim(self, n):
         if n > self.nmax:
@@ -255,7 +257,7 @@ class RelativeBarComplex:
             basis = []
             if self.dim(n):
                 image = self.coboundaries(n)
-                residues = [image.reduce(v) for v in self._echelon(n).kernel.rows]
+                residues = [image.reduce(v) for v in self._echelon(n)[1].rows]
                 basis = rref(self.field, [r for r in residues if r], self.dim(n)).rows
             # keep the vectors only: a class refers back to this complex, and
             # the cycle would leave the complex to the cyclic garbage collector
@@ -433,6 +435,15 @@ class HHReport:
         self.euler = euler
         self.complete = complete
 
+    @property
+    def small_bar_agree(self):
+        """Whether both complexes give the same HH^n for n < min(3, nmax + 1),
+        the degrees both compute; None without a small complex."""
+        if self.small_hh is None:
+            return None
+        upto = min(3, len(self.dims))
+        return self.small_hh[:upto] == self.dims[:upto]
+
     def __repr__(self):
         return f"HHReport(dims={self.dims}, euler={self.euler})"
 
@@ -459,19 +470,16 @@ class HochschildCohomology:
         if self.small is not None:
             small_dims = self.small.term_dims
             small_hh = self.small.hh_dims()
-            upto = min(3, self.nmax + 1)
-            if tuple(small_hh[:upto]) != tuple(dims[:upto]):
-                raise ConsistencyError(
-                    f"small complex {small_hh} disagrees with bar complex {tuple(dims[:3])}"
-                )
         complete = bar.top_degree_complete()
-        euler = None
-        if complete:
-            euler = sum((-1) ** n * bar.dim(n) for n in range(self.nmax + 2))
-            euler_h = sum((-1) ** n * d for n, d in enumerate(dims))
-            if euler != euler_h:
-                raise ConsistencyError("Euler characteristic mismatch")
-        return HHReport(dims, bar_dims, small_dims, small_hh, euler, complete)
+        euler = sum((-1) ** n * d for n, d in enumerate(bar_dims)) if complete else None
+        report = HHReport(dims, bar_dims, small_dims, small_hh, euler, complete)
+        if report.small_bar_agree is False:
+            raise ConsistencyError(
+                f"small complex {small_hh} disagrees with bar complex {tuple(dims[:3])}"
+            )
+        if complete and euler != sum((-1) ** n * d for n, d in enumerate(dims)):
+            raise ConsistencyError("Euler characteristic mismatch")
+        return report
 
     def classes(self, n):
         return self.bar.classes(n)

@@ -13,8 +13,9 @@ clears every other pivot out of each row; the rows it subtracts are already
 final when it reaches a row.  The reduced row echelon form of a subspace is
 unique, so the order changes the cost and not the output: every basis, class
 and report is the one plain Gauss-Jordan elimination gives.  Over the
-rationals Fraction keeps every entry reduced, which bounds coefficient growth
-at the sizes this engine meets.
+rationals every entry stays in lowest terms, which bounds coefficient growth
+at the sizes this engine meets; the field keeps an integral entry as an int,
+so the common entries 0 and +-1 never pay for Fraction normalisation.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from quiverhh import cli
 
 
@@ -20,6 +22,30 @@ def test_report_torus_json():
     assert doc["small_complex_dims"] == [42, 84, 42]
     assert doc["checks"]["d_squared_zero"] is True
     assert doc["checks"]["small_bar_agree"] is True
+
+
+def test_report_small_bar_verdict_covers_the_window():
+    # at nmax 1 the engine compares HH^0 and HH^1; the document says the same
+    code, out = run_cli(["report", "--family", "torus-s", "--nmax", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["hh"] == [1, 2]
+    assert doc["checks"]["small_bar_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--family", "torus-s", "--nmax", "0"],
+        ["table", "torus-sweep", "--nmax", "1"],
+        ["table", "psi-examples", "--nmax", "0"],
+    ],
+)
+def test_window_too_small_for_the_output_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "--nmax >=" in capsys.readouterr().err
 
 
 def test_report_p1p1_psi():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quiverhh.errors import FieldError, ParseError
 from quiverhh.fields import (
@@ -91,3 +93,37 @@ def test_field_axioms_random():
             assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
             if not field.is_zero(a):
                 assert field.mul(a, field.inv(a)) == field.one()
+
+
+# ints and Fractions, integral (Fraction(4, 2)) and not
+RATIONAL_INPUTS = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def _canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@given(RATIONAL_INPUTS, RATIONAL_INPUTS, st.integers(min_value=1, max_value=5))
+def test_rationals_agree_with_fraction_in_canonical_form(a, b, k):
+    f = Rationals()
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [
+        (f.add(a, b), fa + fb),
+        (f.sub(a, b), fa - fb),
+        (f.mul(a, b), fa * fb),
+        (f.neg(f.add(a, 0)), -fa),  # neg keeps the form of its argument
+        (f.from_int(fa.numerator), Fraction(fa.numerator)),
+        (f.parse_scalar(str(fa)), fa),
+        (f.parse_scalar(f"{fa.numerator * k}/{fa.denominator * k}"), fa),
+        (f.zero(), Fraction(0)),
+        (f.one(), Fraction(1)),
+    ]
+    if fb:
+        cases += [(f.inv(b), 1 / fb), (f.div(a, b), fa / fb)]
+    for got, want in cases:
+        assert got == want
+        assert _canonical(got), repr(got)
+        assert f.format_scalar(got) == str(want)

@@ -430,7 +430,7 @@ def test_classes_beyond_window_rejected():
 def test_hh1_basis_built_once_for_both_products(monkeypatch):
     eng = _engine(p1p1_presentation(FIELD, PsiTensor.zero(FIELD)))
     bar = eng.bar
-    kernel = bar._echelon(1).kernel.rows
+    kernel = bar._echelon(1)[1].rows
     image = bar.coboundaries(1)
     reduce = image.reduce
     reduced = []

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiverhh import linalg
-from quiverhh.errors import EngineError
+from quiverhh.errors import EngineError, FieldError
 from quiverhh.families import CellComplexData, incidence_presentation
 from quiverhh.fields import PrimeField, Rationals
 from quiverhh.hochschild import HochschildCohomology
@@ -338,3 +338,87 @@ def test_rref_of_torus_grid_d0_independent_of_input_order():
         for _ in range(5):
             rng.shuffle(vectors)
             assert rref(FIELD, vectors, ambient) == want
+
+
+# --- canonical rationals ---------------------------------------------------
+
+
+class _FractionRationals(Rationals):
+    """Every scalar a Fraction, integral or not: the rationals before they
+    kept integral values as ints.  A reference for the canonical form."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise FieldError("division by zero")
+        return 1 / Fraction(a)
+
+
+def _canonical_entries(vectors):
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator > 1)
+        for v in vectors
+        for x in v.values()
+    )
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Vectors over Q whose entries are ints or Fractions, integral or not."""
+    scalars = st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    ambient = draw(st.integers(min_value=1, max_value=AMBIENT + 2))
+    keys = st.integers(min_value=0, max_value=ambient - 1)
+    vectors = draw(st.lists(st.dictionaries(keys, scalars, max_size=ambient), max_size=9))
+    return ambient, vectors, draw(st.dictionaries(keys, scalars))
+
+
+@given(_rational_matrices())
+def test_canonical_rationals_eliminate_like_fractions(case):
+    ambient, vectors, probe = case
+    ref = _FractionRationals()
+    as_fractions = [{k: Fraction(x) for k, x in v.items()} for v in vectors]
+    want = rref(ref, as_fractions, ambient)
+    got = rref(FIELD, vectors, ambient)
+    assert got == want and _canonical_entries(got.rows)
+    assert got.reduce(probe) == want.reduce(probe)
+
+    results = []
+    for field, vecs in ((ref, as_fractions), (FIELD, vectors)):
+        m = SparseMatrix(len(vecs), ambient, field)
+        for r, v in enumerate(vecs):
+            for c, x in v.items():
+                m.add(r, c, x)
+        results.append(echelon(m))
+    want, got = results
+    assert (got.rank, got.row_space, got.kernel) == (want.rank, want.row_space, want.kernel)
+    assert _canonical_entries(got.row_space.rows + got.kernel.rows)
+    assert got.kernel.reduce(probe) == want.kernel.reduce(probe)
+
+
+def test_torus_grid_d0_eliminates_to_canonical_entries():
+    pres = incidence_presentation(_torus_grid(3), FIELD, FIELD.from_int(2))
+    d0 = HochschildCohomology(pres).bar.differential(0)
+    res = echelon(d0)
+    assert 0 < res.rank < d0.ncols
+    assert _canonical_entries(res.row_space.rows + res.kernel.rows)
+    assert _canonical_entries(linalg.column_space(d0).rows)
