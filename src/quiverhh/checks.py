@@ -14,7 +14,7 @@ from . import families
 from .errors import EngineError
 from .fields import PrimeField, Rationals, is_prime, primitive_root_of_unity
 from .hochschild import HochschildCohomology, d_squared_zero
-from .linalg import SparseMatrix, echelon, vec_add
+from .linalg import SparseMatrix, echelon, rref, vec_add
 from .quiver import AlgebraElement, compose, enumerate_paths
 from .rewrite import ReductionSystem, quotient_algebra
 from .sl2 import (
@@ -419,6 +419,23 @@ def check_monomial_cup_vanishing(seed):
                         assert eng.bar.cup(a, b).is_zero(), (s, p, q)
 
 
+def check_product_ranks(seed):
+    """cup_rank and bracket_rank against the span of every HH^1 product."""
+    for field in (Rationals(), PrimeField(7)):
+        engines = [eng for _, eng in _family_engines(field)] + [
+            HochschildCohomology(families.random_monomial_presentation(field, seed + s))
+            for s in range(10)
+        ]
+        for eng in engines:
+            bar = eng.bar
+            ones = eng.classes(1)
+            cups = [bar.cup(a, b).vector for a in ones for b in ones]
+            brackets = [bar.bracket(a, b).vector for i, a in enumerate(ones) for b in ones[i + 1 :]]
+            cup_dim = rref(field, [v for v in cups if v], bar.dim(2)).dim
+            assert eng.cup_rank() == (cup_dim, cup_dim > 0)
+            assert eng.bracket_rank() == rref(field, [v for v in brackets if v], bar.dim(1)).dim
+
+
 FAST_CHECKS = [
     ("field-axioms", check_field_axioms),
     ("scalar-roundtrip", check_scalar_roundtrip),
@@ -448,6 +465,7 @@ FULL_CHECKS = FAST_CHECKS + [
     ("three-way-psi-agreement", check_three_way_psi),
     ("feasibility-sample", check_feasibility_sample),
     ("monomial-cup-vanishing", check_monomial_cup_vanishing),
+    ("product-ranks", check_product_ranks),
 ]
 
 

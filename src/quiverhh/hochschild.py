@@ -17,12 +17,15 @@ coordinates are canonical: cocycles are reduced against the coboundary image
 in echelon form.
 
 Products read only their operands' nonzero blocks, decoded into
-{tuple: {value: coeff}}: the cup product joins each block of f to each block
-of g that ends where it starts, and the circle product puts a block of g in
-place of each entry of a block of f that is one of g's values on it.  Their
+{tuple: {value: coeff}} and grouped once into three indexes (``Blocks``): by
+the tuple's source end, by its target end and, in degree >= 1, by (position,
+entry).  The cup product joins f's source groups with g's target groups, so
+each block of f meets exactly the blocks of g that end where it starts; the
+circle product puts a block of g in place of each entry of a block of f that
+is one of g's values on it, found through f's (position, entry) index.  Their
 cost follows the operands' nonzero coordinates, not the target degree's size.
-A class keeps its decoded blocks, so ``cup`` and ``bracket`` decode each
-operand class once however many products it enters.
+A class keeps its indexed blocks, so ``cup`` and ``bracket`` decode and group
+each operand class once however many products it enters.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .errors import ConsistencyError, EngineError
-from .linalg import SparseMatrix, column_space, combine, echelon, rref, vec_add, vec_iadd
+from .linalg import SparseMatrix, column_space, combine, echelon, rref, vec_iadd
 from .quiver import Path
 from .rewrite import QuotientAlgebra, quotient_algebra
 
@@ -58,13 +61,30 @@ class CohomologyClass:
         return not self.vector
 
     def blocks(self):
-        """The representative as {tuple: {value: coeff}}, decoded on first use."""
+        """The representative's blocks, decoded and grouped on first use."""
         if self._blocks is None:
-            self._blocks = self.complex._blocks(self.vector, self.degree)
+            self._blocks = self.complex._index(self.vector, self.degree)
         return self._blocks
 
     def __repr__(self):
         return f"CohomologyClass(degree {self.degree}, {len(self.vector)} terms)"
+
+
+class Blocks:
+    """A cochain's nonzero blocks, grouped for the products.
+
+    ``items`` lists its (tuple, {value: coeff}) pairs; ``by_source`` and
+    ``by_target`` group them by the tuple's source and target end, and
+    ``by_entry`` by (position, entry) of the tuple's radical indices, which a
+    degree-0 tuple, a vertex, does not have."""
+
+    __slots__ = ("items", "by_source", "by_target", "by_entry")
+
+    def __init__(self, items):
+        self.items = items
+        self.by_source = {}
+        self.by_target = {}
+        self.by_entry = {}
 
 
 def block_offsets(algebra: QuotientAlgebra, ends):
@@ -160,6 +180,18 @@ class RelativeBarComplex:
                 block = out[tuples[ti]] = {}
             block[values[k - start]] = vec[k]
         return out
+
+    def _index(self, vec, n):
+        """A degree-n cochain as ``Blocks``: decoded by ``_blocks``, then grouped."""
+        index = Blocks(list(self._blocks(vec, n).items()))
+        for t, vals in index.items:
+            source, target = self._ends(n, t)
+            index.by_source.setdefault(source, []).append((t, vals))
+            index.by_target.setdefault(target, []).append((t, vals))
+            if n:
+                for i, x in enumerate(t):
+                    index.by_entry.setdefault((i, x), []).append((t, vals))
+        return index
 
     def _vector(self, blocks, n):
         """The degree-n cochain vector of {tuple: {value: coeff}}."""
@@ -268,54 +300,56 @@ class RelativeBarComplex:
 
     def cup_cochain(self, fvec, p, gvec, q):
         """(f cup g)(x1..x_{p+q}) = f(x1..xp) * g(x_{p+1}..x_{p+q})."""
-        return self._cup(self._blocks(fvec, p), p, self._blocks(gvec, q), q)
+        return self._cup(self._index(fvec, p), p, self._index(gvec, q), q)
 
-    def _cup(self, fblocks, p, gblocks, q):
-        """``cup_cochain`` on decoded operands."""
+    def _cup(self, fi, p, gi, q):
+        """``cup_cochain`` on indexed operands: f's blocks by source end meet
+        g's blocks by target end."""
         n = p + q
         if n > self.nmax + 1:
             raise EngineError("cup lands beyond the computed window")
-        by_target = {}
-        for tg, gvals in gblocks.items():
-            by_target.setdefault(self._ends(q, tg)[1], []).append((tg, gvals))
+        mul = self.algebra.mul_vec
         out = {}
-        for tf, fvals in fblocks.items():
-            for tg, gvals in by_target.get(self._ends(p, tf)[0], ()):
-                # a degree-0 operand is a vertex, the unit of the join
-                t = tf if q == 0 else tg if p == 0 else tf + tg
-                out[t] = self.algebra.mul_vec(fvals, gvals)
+        for end, fpairs in fi.by_source.items():
+            gpairs = gi.by_target.get(end)
+            if gpairs is None:
+                continue
+            for tf, fvals in fpairs:
+                for tg, gvals in gpairs:
+                    # a degree-0 operand is a vertex, the unit of the join
+                    t = tf if q == 0 else tg if p == 0 else tf + tg
+                    out[t] = mul(fvals, gvals)
         return self._vector(out, n)
 
     def circle_cochain(self, fvec, p, gvec, q):
         """Gerstenhaber pre-Lie circle product of cochains of degrees p, q >= 1:
         (f o g)(x1..xn) = sum_i (-1)^((q-1)i) f(x1..xi, g(x_{i+1}..x_{i+q}), ..)."""
-        return self._circle(self._blocks(fvec, p), p, self._blocks(gvec, q), q)
+        out = {}
+        self._circle(out, self._index(fvec, p), p, self._index(gvec, q), q, self.field.one())
+        return self._vector(out, p + q - 1)
 
-    def _circle(self, fblocks, p, gblocks, q):
-        """``circle_cochain`` on decoded operands."""
+    def _circle(self, out, fi, p, gi, q, scale):
+        """Add scale * (f o g) of indexed operands into ``out``, a degree
+        p + q - 1 cochain as {tuple: {value: coeff}}."""
         if p < 1 or q < 1:
             raise EngineError("circle product needs positive degrees")
-        f = self.field
-        n = p + q - 1
-        if n > self.nmax + 1:
+        if p + q - 1 > self.nmax + 1:
             raise EngineError("circle product lands beyond the computed window")
-        minus_one = f.from_int(-1)
-        signs = [f.one() if ((q - 1) * i) % 2 == 0 else minus_one for i in range(p)]
-        # f's blocks by (position, entry); entries are radical indices, so a
-        # trivial value of g matches none
-        by_entry = {}
-        for u, fvals in fblocks.items():
-            for i, x in enumerate(u):
-                by_entry.setdefault((i, x), []).append((u, fvals))
-        out = {}
-        for tg, gvals in gblocks.items():
+        f = self.field
+        minus = f.neg(scale)
+        signs = [scale if ((q - 1) * i) % 2 == 0 else minus for i in range(p)]
+        for tg, gvals in gi.items:
             for w, cw in gvals.items():
                 for i, s in enumerate(signs):
-                    # w is parallel to tg, so putting tg in its place gives a tuple
-                    for u, fvals in by_entry.get((i, w), ()):
-                        t = u[:i] + tg + u[i + 1 :]
-                        vec_iadd(f, out.setdefault(t, {}), fvals, f.mul(s, cw))
-        return self._vector(out, n)
+                    # entries are radical indices, so a trivial value w
+                    # matches none; w is parallel to tg, so putting tg in its
+                    # place gives a tuple
+                    fpairs = fi.by_entry.get((i, w))
+                    if fpairs is None:
+                        continue
+                    c = f.mul(s, cw)
+                    for u, fvals in fpairs:
+                        vec_iadd(f, out.setdefault(u[:i] + tg + u[i + 1 :], {}), fvals, c)
 
     def cup(self, fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
         if fc.complex is not self or gc.complex is not self:
@@ -325,16 +359,17 @@ class RelativeBarComplex:
         return CohomologyClass(n, self.canonical(vec, n), self)
 
     def bracket(self, fc: CohomologyClass, gc: CohomologyClass) -> CohomologyClass:
+        """[f, g] = f o g - (-1)^((p-1)(q-1)) g o f, both added into one cochain."""
         if fc.complex is not self or gc.complex is not self:
             raise EngineError("classes belong to a different complex")
         p, q = fc.degree, gc.degree
-        fg = self._circle(fc.blocks(), p, gc.blocks(), q)
-        gf = self._circle(gc.blocks(), q, fc.blocks(), p)
         f = self.field
         sign = f.one() if ((p - 1) * (q - 1)) % 2 == 0 else f.from_int(-1)
-        vec = vec_add(f, fg, gf, f.neg(sign))
+        out = {}
+        self._circle(out, fc.blocks(), p, gc.blocks(), q, f.one())
+        self._circle(out, gc.blocks(), q, fc.blocks(), p, f.neg(sign))
         n = p + q - 1
-        return CohomologyClass(n, self.canonical(vec, n), self)
+        return CohomologyClass(n, self.canonical(self._vector(out, n), n), self)
 
 
 class SmallComplex:
@@ -368,17 +403,15 @@ class SmallComplex:
 
         f = A.field
         dim0, dim1, dim2 = self.term_dims
+        # (d0 f)(a) = a f(source) - f(target) a, one pass over the arrows
         d0 = SparseMatrix(dim1, dim0, f)
-        for v in range(quiver.n_vertices):
-            for j, b0 in enumerate(A.parallel(v, v)):
-                col = off0[v] + j
-                for a, (source, target) in enumerate(arrow_ends):
-                    if source == v:
-                        for k, c in A.mul_basis(arrow_basis[a], b0).items():
-                            d0.add(off1[a] + slot[k], col, c)
-                    if target == v:
-                        for k, c in A.mul_basis(b0, arrow_basis[a]).items():
-                            d0.add(off1[a] + slot[k], col, f.neg(c))
+        for a, (source, target) in enumerate(arrow_ends):
+            for j, b0 in enumerate(A.parallel(source, source)):
+                for k, c in A.mul_basis(arrow_basis[a], b0).items():
+                    d0.add(off1[a] + slot[k], off0[source] + j, c)
+            for j, b0 in enumerate(A.parallel(target, target)):
+                for k, c in A.mul_basis(b0, arrow_basis[a]).items():
+                    d0.add(off1[a] + slot[k], off0[target] + j, f.neg(c))
         self.d0 = d0
 
         # relation element of rule k: leading - rest
@@ -485,13 +518,22 @@ class HochschildCohomology:
         return self.bar.classes(n)
 
     def cup_rank(self):
-        """Rank of the pairing HH^1 x HH^1 -> HH^2, and whether it is nonzero."""
+        """Rank of the pairing HH^1 x HH^1 -> HH^2, and whether it is nonzero.
+
+        The rank is that of the span of the k^2 products' canonical vectors,
+        for k = dim HH^1.  Canonical reduction is linear and injective on
+        HH^2, so the rank is at most dim HH^2: when HH^2 = 0 lies inside the
+        window (nmax >= 2) the rank is 0 and no product is computed.  At
+        nmax 1, HH^2 is outside the window and every product is."""
+        bar = self.bar
+        if bar.nmax >= 2 and bar.hh_dim(2) == 0:
+            return 0, False
         ones = self.classes(1)
         prods = []
         for fc in ones:
             for gc in ones:
-                prods.append(self.bar.cup(fc, gc).vector)
-        span = rref(self.bar.field, [p for p in prods if p], self.bar.dim(2))
+                prods.append(bar.cup(fc, gc).vector)
+        span = rref(bar.field, [p for p in prods if p], bar.dim(2))
         return span.dim, span.dim > 0
 
     def bracket_rank(self):
@@ -506,10 +548,15 @@ class HochschildCohomology:
 
 
 def d_squared_zero(bar) -> bool:
-    """True when d^{n+1} d^n = 0 for every n < nmax, checked column by column."""
+    """True when d^{n+1} d^n = 0 for every n < nmax, checked column by column.
+
+    Each degree's column dict is built once: d^{n+1}'s columns are carried
+    into the next degree as its own, so at most two are held at once."""
+    later = bar.differential(0).columns() if bar.nmax else None
     for n in range(bar.nmax):
+        cols = later
         later = bar.differential(n + 1).columns()
-        for col in bar.differential(n).columns().values():
+        for col in cols.values():
             if combine(bar.field, later, col):
                 return False
     return True

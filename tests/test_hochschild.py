@@ -29,7 +29,7 @@ from quiverhh.hochschild import (
     hh_classes,
     hh_report,
 )
-from quiverhh.linalg import vec_add, vec_iadd
+from quiverhh.linalg import SparseMatrix, rref, vec_add, vec_iadd
 from quiverhh.sl2 import PsiTensor, parse_psi
 
 FIELD = Rationals()
@@ -37,6 +37,18 @@ FIELD = Rationals()
 
 def _engine(pres, nmax=3):
     return HochschildCohomology(pres, nmax=nmax)
+
+
+def _count_calls(monkeypatch, obj, name):
+    calls = []
+    original = getattr(obj, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(obj, name, counting)
+    return calls
 
 
 def test_small_complex_term_dims():
@@ -208,6 +220,14 @@ def test_d_squared_zero_check_on_cyclic_quiver():
         r = min(row for row, _ in bar.differential(n - 1).entries)
         bar.differential(n).add(0, r, bar.field.one())
         assert not d_squared_zero(bar), n
+
+
+def test_d_squared_zero_builds_each_column_dict_once(monkeypatch):
+    bar = _engine(parse_presentation(EXTERIOR_TEXT), nmax=4).bar
+    built = _count_calls(monkeypatch, SparseMatrix, "columns")
+    assert d_squared_zero(bar)
+    assert len(built) == bar.nmax + 1
+    assert {id(args[0]) for args in built} == {id(bar.differential(n)) for n in range(bar.nmax + 1)}
 
 
 def test_canonical_drops_stored_zeros():
@@ -464,6 +484,114 @@ def test_each_hh1_class_decoded_once_per_product_rank(monkeypatch):
     decoded.clear()
     assert eng.bracket_rank() == 6  # k(k-1)/2 brackets, two circles each
     assert decoded == [1] * k
+
+
+# --- references for the HH^1 product ranks ---------------------------------
+# Plain loops: every product of two HH^1 basis classes, then the rank of
+# their span, with no shortcut when HH^2 = 0.
+
+
+def _reference_cup_rank(eng):
+    ones = eng.classes(1)
+    prods = []
+    for fc in ones:
+        for gc in ones:
+            prods.append(eng.bar.cup(fc, gc).vector)
+    span = rref(eng.bar.field, [p for p in prods if p], eng.bar.dim(2))
+    return span.dim, span.dim > 0
+
+
+def _reference_bracket_rank(eng):
+    ones = eng.classes(1)
+    brs = []
+    for i, fc in enumerate(ones):
+        for gc in ones[i + 1 :]:
+            brs.append(eng.bar.bracket(fc, gc).vector)
+    span = rref(eng.bar.field, [b for b in brs if b], eng.bar.dim(1))
+    return span.dim
+
+
+def _family_presentations(field):
+    two = field.from_int(2)
+    yield incidence_presentation(torus_simplicial_complex(), field, two)
+    yield incidence_presentation(torus_cubical_complex(), field, field.one())
+    for text in ("", "ee:1", "ee:2,ff:2,hh:1", "ee:1,eh:1,ef:1,he:1,hh:1,hf:1,fe:1,fh:1,ff:1"):
+        yield p1p1_presentation(field, parse_psi(text, field) if text else PsiTensor.zero(field))
+    yield pi_presentation(field)
+    yield kronecker_presentation(field)
+
+
+def _product_rank_engines():
+    for field in (FIELD, PrimeField(7)):
+        for nmax in (2, 3):
+            for pres in _family_presentations(field):
+                yield f"family {field} nmax {nmax}", _engine(pres, nmax)
+            for seed in range(20):
+                yield f"monomial {seed} {field} nmax {nmax}", _engine(
+                    random_monomial_presentation(field, seed), nmax
+                )
+    for nmax in (2, 3):
+        yield f"exterior nmax {nmax}", _engine(parse_presentation(EXTERIOR_TEXT), nmax)
+
+
+def test_product_ranks_match_reference_loops():
+    hh2 = set()
+    for name, eng in _product_rank_engines():
+        hh2.add(eng.bar.hh_dim(2) > 0)
+        assert eng.cup_rank() == _reference_cup_rank(eng), name
+        assert eng.bracket_rank() == _reference_bracket_rank(eng), name
+    assert hh2 == {False, True}
+
+
+def test_cup_rank_computes_no_cup_when_hh2_vanishes(monkeypatch):
+    for nmax in (2, 3):
+        eng = _engine(kronecker_presentation(FIELD), nmax)
+        assert eng.bar.hh_dim(2) == 0 and len(eng.classes(1)) == 3
+        cups = _count_calls(monkeypatch, eng.bar, "cup")
+        assert eng.cup_rank() == (0, False)
+        assert cups == []
+
+
+def test_cup_rank_computes_every_cup_at_nmax_1(monkeypatch):
+    # HH^2 lies outside the window, so its dimension cannot rule the cups out
+    for pres in (kronecker_presentation(FIELD), pi_presentation(FIELD)):
+        eng = _engine(pres, 1)
+        k = len(eng.classes(1))
+        cups = _count_calls(monkeypatch, eng.bar, "cup")
+        assert eng.cup_rank() == _reference_cup_rank(_engine(pres, 2))
+        assert len(cups) == k * k
+
+
+def test_cup_rank_looks_up_each_block_end_once(monkeypatch):
+    for pres in (
+        p1p1_presentation(FIELD, PsiTensor.zero(FIELD)),
+        incidence_presentation(torus_simplicial_complex(), FIELD, FIELD.one()),
+        random_monomial_presentation(FIELD, 19),
+    ):
+        eng = _engine(pres)
+        eng.report()  # builds the differentials, which look ends up too
+        bar = eng.bar
+        assert bar.hh_dim(2) > 0
+        blocks = sum(len(bar._blocks(c.vector, 1)) for c in eng.classes(1))
+        ends = _count_calls(monkeypatch, bar, "_ends")
+        eng.cup_rank()
+        assert 0 < len(ends) <= 2 * blocks
+        monkeypatch.undo()
+
+
+def test_bracket_is_one_accumulation_of_both_circles():
+    # [f, g] = f o g - (-1)^((p-1)(q-1)) g o f, from the cochain-level circles
+    for pres in (pi_presentation(FIELD), p1p1_presentation(FIELD, parse_psi("ee:1,hf:2", FIELD))):
+        eng = _engine(pres)
+        bar = eng.bar
+        for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            sign = FIELD.from_int(-((-1) ** ((p - 1) * (q - 1))))
+            for a in eng.classes(p):
+                for b in eng.classes(q):
+                    fg = bar.circle_cochain(a.vector, p, b.vector, q)
+                    gf = bar.circle_cochain(b.vector, q, a.vector, p)
+                    want = bar.canonical(vec_add(FIELD, fg, gf, sign), p + q - 1)
+                    assert bar.bracket(a, b).vector == want
 
 
 def test_engine_holds_no_reference_cycle():
