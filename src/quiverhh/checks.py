@@ -380,18 +380,18 @@ def check_normal_form_strategy_independence(seed):
 
 
 def check_three_way_psi(seed):
-    rng = random.Random(seed)
-    field = Rationals()
-    for _ in range(25):
-        psi = PsiTensor.from_int_array(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-        report = HochschildCohomology(families.p1p1_presentation(field, psi)).report()
-        km = kernel_model_dims(psi)
-        s, j = stab_dim(psi), jj_dim(psi)
-        assert report.dims[0] == 1
-        assert report.dims[2] == report.dims[1] + 3
-        assert report.dims[:3] in DIM_TRIPLES
-        assert report.dims[1] == km.total == s + j
-        assert (s, j) in FEASIBLE_PAIRS
+    for field in (Rationals(), PrimeField(7)):
+        rng = random.Random(seed)
+        for _ in range(25):
+            psi = PsiTensor.from_int_array(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+            report = HochschildCohomology(families.p1p1_presentation(field, psi)).report()
+            km = kernel_model_dims(psi)
+            s, j = stab_dim(psi), jj_dim(psi)
+            assert report.dims[0] == 1, field
+            assert report.dims[2] == report.dims[1] + 3, field
+            assert report.dims[:3] in DIM_TRIPLES, field
+            assert report.dims[1] == km.total == s + j, field
+            assert (s, j) in FEASIBLE_PAIRS, field
 
 
 def check_feasibility_sample(seed):

@@ -61,11 +61,7 @@ def build_report(pres, nmax, field, family=None, file=None, params=None, seed=No
         "checks": {
             "d_squared_zero": _d_squared_zero(eng.bar),
             "small_bar_agree": report.small_bar_agree,
-            "euler_consistent": (
-                None
-                if report.euler is None
-                else report.euler == sum((-1) ** n * d for n, d in enumerate(report.dims))
-            ),
+            "euler_consistent": report.euler_consistent,
             "complex_complete": report.complete,
         },
         "version": __version__,

@@ -373,8 +373,10 @@ class RelativeBarComplex:
 
 
 class SmallComplex:
-    """Three-term complex on parallel pairs, for quadratic systems on quivers
-    without length-3 paths."""
+    """Three-term complex on parallel pairs, for quivers without length-3
+    paths.  There every rule is quadratic: relations are homogeneous of length
+    >= 2, so of length 2, and two length-2 leading words have no overlap or
+    proper inclusion for completion to resolve."""
 
     def __init__(self, algebra: QuotientAlgebra):
         A = algebra
@@ -383,9 +385,6 @@ class SmallComplex:
         if longest is None or longest > 2:
             raise SmallComplexUnavailable("quiver has paths of length 3")
         rules = A.system.rules
-        for r in rules:
-            if r.leading.length != 2:
-                raise SmallComplexUnavailable("reduction system is not quadratic")
         self.algebra = A
         self.field = A.field
 
@@ -477,6 +476,15 @@ class HHReport:
         upto = min(3, len(self.dims))
         return self.small_hh[:upto] == self.dims[:upto]
 
+    @property
+    def euler_consistent(self):
+        """Whether the alternating sum of the HH^n equals that of the cochain
+        dimensions; None when the complex is incomplete and has no Euler
+        characteristic."""
+        if self.euler is None:
+            return None
+        return self.euler == sum((-1) ** n * d for n, d in enumerate(self.dims))
+
     def __repr__(self):
         return f"HHReport(dims={self.dims}, euler={self.euler})"
 
@@ -510,7 +518,7 @@ class HochschildCohomology:
             raise ConsistencyError(
                 f"small complex {small_hh} disagrees with bar complex {tuple(dims[:3])}"
             )
-        if complete and euler != sum((-1) ** n * d for n, d in enumerate(dims)):
+        if report.euler_consistent is False:
             raise ConsistencyError("Euler characteristic mismatch")
         return report
 

@@ -6,11 +6,19 @@ matrices; the trace pairing k(a, b) = tr(ab) has Gram matrix
 over (e,h,f) x (e,h,f).  The composite v -> right_contract(left_contract(v))
 plays the role of the squared singular-value operator; its eigenvalue-4
 eigenspace enters the first-cohomology count.
+
+Every matrix is dense: a tuple of rows, of any shape.  The Kronecker product
+x (x) y puts x[i1][j1] * y[i2][j2] at row i1 * len(y) + i2 and column
+j1 * len(y[0]) + j2, so on the tensor square of the arrow space (x, y) the
+rows and columns run x@x, x@y, y@x, y@y.  A linear system is a list of
+matrices, one per unknown; its equations are their entries, read row by row.
+The kernel model's 13 unknowns are c, then f1, f2, f3, f4, each over (e,h,f).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .errors import ConsistencyError, EngineError, ParseError
 from .linalg import SparseMatrix, echelon
@@ -24,44 +32,66 @@ SL2_MATRICES = (
 BASIS_NAMES = ("e", "h", "f")
 # Gram matrix of k(a,b) = tr(ab) over (e, h, f)
 GRAM = ((0, 0, 1), (0, 2, 0), (1, 0, 0))
+EYE2 = ((1, 0), (0, 1))
+
+
+def _dot(field, u, v):
+    """sum_k u[k] * v[k].  A product with a zero (falsy) factor is skipped:
+    the sl2 basis matrices and their Kronecker products are mostly zeros."""
+    acc = field.zero()
+    for a, b in zip(u, v):
+        if a and b:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def _ints(field, m):
+    """Integers, in tuples nested to any depth, as field scalars."""
+    if isinstance(m, int):
+        return field.from_int(m)
+    return tuple(_ints(field, x) for x in m)
+
+
+def _combination(field, coeffs, mats):
+    """sum_k coeffs[k] * mats[k], for matrices of one shape."""
+    return tuple(
+        tuple(_dot(field, coeffs, entries) for entries in zip(*rows)) for rows in zip(*mats)
+    )
+
+
+def _kron(field, x, y):
+    """Kronecker product x (x) y, in the index order of the module docstring."""
+    return tuple(tuple(field.mul(a, b) for a in xr for b in yr) for xr in x for yr in y)
+
+
+def _nullity(field, columns):
+    """Dimension of {u : sum_k u[k] * columns[k] = 0} for matrices of one
+    shape; entry (r, s) of a matrix with w columns is equation r * w + s."""
+    entries = {
+        (i, k): v
+        for k, m in enumerate(columns)
+        for i, v in enumerate(chain.from_iterable(m))
+        if not field.is_zero(v)
+    }
+    nrows = len(columns[0]) * len(columns[0][0])
+    return len(columns) - echelon(SparseMatrix(nrows, len(columns), field, entries)).rank
+
+
+def mat2_mul(field, x, y):
+    """The product x y of dense matrices, each a tuple of rows, of any shapes
+    m x k and k x n."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(_dot(field, row, col) for col in cols) for row in x)
 
 
 def killing(a, b, field):
     """tr(ab) for sl2 coordinate vectors a, b over (e, h, f)."""
-    f = field
-    acc = f.zero()
-    for i in range(3):
-        for j in range(3):
-            g = GRAM[i][j]
-            if g:
-                acc = f.add(acc, f.mul(f.from_int(g), f.mul(a[i], b[j])))
-    return acc
-
-
-def mat2_mul(field, x, y):
-    f = field
-    return tuple(
-        tuple(
-            f.add(f.mul(x[i][0], y[0][j]), f.mul(x[i][1], y[1][j])) for j in range(2)
-        )
-        for i in range(2)
-    )
-
-
-def mat2_from_int(field, m):
-    return tuple(tuple(field.from_int(v) for v in row) for row in m)
+    return _dot(field, a, [_dot(field, row, b) for row in _ints(field, GRAM)])
 
 
 def sl2_to_matrix(field, coords):
     """Coordinates over (e,h,f) to a 2x2 matrix."""
-    f = field
-    out = [[f.zero(), f.zero()], [f.zero(), f.zero()]]
-    for k, c in enumerate(coords):
-        m = SL2_MATRICES[k]
-        for i in range(2):
-            for j in range(2):
-                out[i][j] = f.add(out[i][j], f.mul(c, f.from_int(m[i][j])))
-    return tuple(tuple(row) for row in out)
+    return _combination(field, coords, _ints(field, SL2_MATRICES))
 
 
 def matrix_to_sl2(field, m):
@@ -137,132 +167,60 @@ def format_psi(psi: PsiTensor) -> str:
     return ",".join(bits) if bits else "0"
 
 
-def _mat3_mul(field, x, y):
-    f = field
-    return tuple(
-        tuple(
-            _dot3(f, x[i], tuple(y[k][j] for k in range(3))) for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def _dot3(f, u, v):
-    acc = f.zero()
-    for a, b in zip(u, v):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
-
-
-def _gram(field):
-    return tuple(tuple(field.from_int(v) for v in row) for row in GRAM)
-
-
-def _transpose3(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
-
-
 def contract(psi: PsiTensor, v, side: str):
     """Killing contraction: side 'left' is v -| psi (against the first factor),
     side 'right' is psi |- v (against the second factor)."""
     f = psi.field
-    G = _gram(f)
     A = psi.coeffs
-    gv = tuple(_dot3(f, row, v) for row in G)
+    gv = [_dot(f, row, v) for row in _ints(f, GRAM)]
     if side == "left":
         # sum_ij psi_ij k(v, g_i) g_j  =  A^T G v
-        return tuple(_dot3(f, tuple(A[i][j] for i in range(3)), gv) for j in range(3))
+        return tuple(_dot(f, col, gv) for col in zip(*A))
     if side == "right":
         # sum_ij psi_ij g_i k(g_j, v)  =  A G v
-        return tuple(_dot3(f, A[i], gv) for i in range(3))
+        return tuple(_dot(f, row, gv) for row in A)
     raise EngineError("side must be 'left' or 'right'")
 
 
 def psi_dagger_psi(psi: PsiTensor):
     """Matrix of v -> (psi |- (v -| psi)) over the (e,h,f) basis."""
     f = psi.field
-    G = _gram(f)
+    G = _ints(f, GRAM)
     A = psi.coeffs
-    At = _transpose3(A)
-    return _mat3_mul(f, _mat3_mul(f, A, G), _mat3_mul(f, At, G))
+    return mat2_mul(f, mat2_mul(f, A, G), mat2_mul(f, tuple(zip(*A)), G))
 
 
 def jj_dim(psi: PsiTensor) -> int:
     """Dimension of the eigenvalue-4 eigenspace of psi_dagger_psi."""
     f = psi.field
-    M = psi_dagger_psi(psi)
-    four = f.from_int(4)
-    m = SparseMatrix(3, 3, f)
-    for i in range(3):
-        for j in range(3):
-            v = M[i][j]
-            if i == j:
-                v = f.sub(v, four)
-            if not f.is_zero(v):
-                m.add(i, j, v)
-    return 3 - echelon(m).rank
-
-
-def kron4(field, first, second):
-    """Kronecker product of 2x2 matrices acting on x@x, x@y, y@x, y@y."""
-    f = field
-    out = [[f.zero()] * 4 for _ in range(4)]
-    for i1 in range(2):
-        for j1 in range(2):
-            for i2 in range(2):
-                for j2 in range(2):
-                    out[2 * i1 + i2][2 * j1 + j2] = f.mul(first[i1][j1], second[i2][j2])
-    return tuple(tuple(r) for r in out)
+    eye3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    shifted = _combination(
+        f, (f.one(), f.from_int(-4)), (psi_dagger_psi(psi), _ints(f, eye3))
+    )
+    return _nullity(f, [(col,) for col in zip(*shifted)])
 
 
 def psi_kronecker(psi: PsiTensor):
     """The action of psi on the 4-dim tensor square of the arrow space."""
     f = psi.field
-    out = [[f.zero()] * 4 for _ in range(4)]
-    for i in range(3):
-        for j in range(3):
-            c = psi.coeffs[i][j]
-            if f.is_zero(c):
-                continue
-            block = kron4(
-                f, mat2_from_int(f, SL2_MATRICES[i]), mat2_from_int(f, SL2_MATRICES[j])
-            )
-            for r in range(4):
-                for s in range(4):
-                    out[r][s] = f.add(out[r][s], f.mul(c, block[r][s]))
-    return tuple(tuple(r) for r in out)
+    basis = _ints(f, SL2_MATRICES)
+    return _combination(
+        f, list(chain.from_iterable(psi.coeffs)), [_kron(f, x, y) for x in basis for y in basis]
+    )
 
 
 def stab_dim(psi: PsiTensor) -> int:
     """Dimension of the solution space of [u2 x 1 + 1 x u1, psi] = 0."""
     f = psi.field
     K = psi_kronecker(psi)
-    # unknowns: u2 = (a0,a1,a2), u1 = (b0,b1,b2) over (e,h,f): 6 columns
-    m = SparseMatrix(16, 6, f)
-    for k in range(3):
-        U2 = mat2_from_int(f, SL2_MATRICES[k])
-        U1 = ((f.zero(), f.zero()), (f.zero(), f.zero()))
-        _add_commutator_column(f, m, k, U2, U1, K)
-    for k in range(3):
-        U2 = ((f.zero(), f.zero()), (f.zero(), f.zero()))
-        U1 = mat2_from_int(f, SL2_MATRICES[k])
-        _add_commutator_column(f, m, 3 + k, U2, U1, K)
-    return 6 - echelon(m).rank
-
-
-def _add_commutator_column(f, m, col, U2, U1, K):
-    eye = mat2_from_int(f, ((1, 0), (0, 1)))
-    U = kron4(f, U2, eye)
-    V = kron4(f, eye, U1)
-    for r in range(4):
-        for s in range(4):
-            # [T, K] = T K - K T at entry (r, s), T = U2 x 1 + 1 x U1
-            acc = f.zero()
-            for t in range(4):
-                acc = f.add(acc, f.mul(f.add(U[r][t], V[r][t]), K[t][s]))
-                acc = f.sub(acc, f.mul(K[r][t], f.add(U[t][s], V[t][s])))
-            if not f.is_zero(acc):
-                m.add(4 * r + s, col, acc)
+    eye = _ints(f, EYE2)
+    basis = _ints(f, SL2_MATRICES)
+    # unknowns: u2 over (e,h,f), then u1 over (e,h,f); column [T, K] = TK - KT
+    columns = []
+    for T in [_kron(f, u, eye) for u in basis] + [_kron(f, eye, u) for u in basis]:
+        TK, KT = mat2_mul(f, T, K), mat2_mul(f, K, T)
+        columns.append(tuple(tuple(map(f.sub, r, s)) for r, s in zip(TK, KT)))
+    return _nullity(f, columns)
 
 
 class KernelModelReport:
@@ -283,46 +241,19 @@ def kernel_model_dims(psi: PsiTensor) -> KernelModelReport:
     """Solve (1+psi)(f2 x 1 + 1 x f3) = (f4 x 1 + 1 x f1)(1+psi) on the
     13-dimensional space c(1,0,0,0) + sl2^4, and check the split count."""
     f = psi.field
-    K = psi_kronecker(psi)
-    one_plus = tuple(
-        tuple(f.add(K[r][s], f.one() if r == s else f.zero()) for s in range(4))
-        for r in range(4)
+    eye = _ints(f, EYE2)
+    P = _combination(f, (f.one(), f.one()), (psi_kronecker(psi), _kron(f, eye, eye)))
+    basis = _ints(f, SL2_MATRICES)
+    # one matrix per unknown, c then f1..f4, each up to a sign the nullity
+    # ignores; c sits in the f1 slot as c * identity
+    columns = (
+        [P]
+        + [mat2_mul(f, _kron(f, eye, u), P) for u in basis]
+        + [mat2_mul(f, P, _kron(f, u, eye)) for u in basis]
+        + [mat2_mul(f, P, _kron(f, eye, u)) for u in basis]
+        + [mat2_mul(f, _kron(f, u, eye), P) for u in basis]
     )
-    eye = mat2_from_int(f, ((1, 0), (0, 1)))
-    zero2 = ((f.zero(), f.zero()), (f.zero(), f.zero()))
-
-    # unknown layout: c, then f1, f2, f3, f4 coordinates over (e,h,f)
-    def column_matrix(which, basis_mat):
-        """4x4 matrix contributed by one unknown."""
-        f1 = f2 = f3 = f4 = zero2
-        if which == 1:
-            f1 = basis_mat
-        elif which == 2:
-            f2 = basis_mat
-        elif which == 3:
-            f3 = basis_mat
-        else:
-            f4 = basis_mat
-        left = _mat4_add(f, kron4(f, f2, eye), kron4(f, eye, f3))
-        right = _mat4_add(f, kron4(f, f4, eye), kron4(f, eye, f1))
-        return _mat4_sub(f, _mat4_mul(f, one_plus, left), _mat4_mul(f, right, one_plus))
-
-    m = SparseMatrix(16, 13, f)
-    # c sits in the f1 slot as c * identity
-    cmat = column_matrix(1, eye)
-    for r in range(4):
-        for s in range(4):
-            if not f.is_zero(cmat[r][s]):
-                m.add(4 * r + s, 0, cmat[r][s])
-    for which in (1, 2, 3, 4):
-        for k in range(3):
-            col = 1 + (which - 1) * 3 + k
-            mat = column_matrix(which, mat2_from_int(f, SL2_MATRICES[k]))
-            for r in range(4):
-                for s in range(4):
-                    if not f.is_zero(mat[r][s]):
-                        m.add(4 * r + s, col, mat[r][s])
-    total = 13 - echelon(m).rank
+    total = _nullity(f, columns)
     stab = stab_dim(psi)
     jj = jj_dim(psi)
     if total != stab + jj:
@@ -332,27 +263,6 @@ def kernel_model_dims(psi: PsiTensor) -> KernelModelReport:
     return KernelModelReport(total, stab, jj)
 
 
-def _mat4_add(f, x, y):
-    return tuple(tuple(f.add(x[i][j], y[i][j]) for j in range(4)) for i in range(4))
-
-
-def _mat4_sub(f, x, y):
-    return tuple(tuple(f.sub(x[i][j], y[i][j]) for j in range(4)) for i in range(4))
-
-
-def _mat4_mul(f, x, y):
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            acc = f.zero()
-            for k in range(4):
-                acc = f.add(acc, f.mul(x[i][k], y[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def adjoint_matrix(field, g):
     """Matrix of Ad(g): x -> g x g^-1 on sl2 over (e,h,f); g unimodular 2x2."""
     f = field
@@ -360,11 +270,8 @@ def adjoint_matrix(field, g):
     if det != f.one():
         raise EngineError("matrix is not unimodular")
     ginv = ((g[1][1], f.neg(g[0][1])), (f.neg(g[1][0]), g[0][0]))
-    cols = []
-    for k in range(3):
-        m = mat2_mul(f, mat2_mul(f, g, mat2_from_int(f, SL2_MATRICES[k])), ginv)
-        cols.append(matrix_to_sl2(f, m))
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    cols = [matrix_to_sl2(f, mat2_mul(f, mat2_mul(f, g, u), ginv)) for u in _ints(f, SL2_MATRICES)]
+    return tuple(zip(*cols))
 
 
 def orbit_conjugate(psi: PsiTensor, g, h) -> PsiTensor:
@@ -372,6 +279,4 @@ def orbit_conjugate(psi: PsiTensor, g, h) -> PsiTensor:
     f = psi.field
     Mg = adjoint_matrix(f, g)
     Mh = adjoint_matrix(f, h)
-    A = psi.coeffs
-    out = _mat3_mul(f, Mg, _mat3_mul(f, A, _transpose3(Mh)))
-    return PsiTensor(f, out)
+    return PsiTensor(f, mat2_mul(f, Mg, mat2_mul(f, psi.coeffs, tuple(zip(*Mh)))))

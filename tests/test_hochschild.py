@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverhh.dsl import parse_presentation
-from quiverhh.errors import EngineError
+from quiverhh.errors import ConsistencyError, EngineError
 from quiverhh.families import (
     incidence_presentation,
     kronecker_presentation,
@@ -102,6 +102,25 @@ def test_small_bar_agreement_everywhere():
     for pres in instances:
         rep = hh_report(pres)  # raises ConsistencyError on disagreement
         assert rep.small_hh == rep.dims[:3]
+
+
+def test_euler_consistent_property():
+    rep = hh_report(pi_presentation(FIELD))
+    assert rep.complete and rep.euler_consistent is True
+    rep = _engine(p1p1_presentation(FIELD, PsiTensor.zero(FIELD)), nmax=1).report()
+    assert not rep.complete and rep.euler is None and rep.euler_consistent is None
+
+
+def test_report_raises_on_euler_mismatch(monkeypatch):
+    # negative control: one more HH^1 than the bar complex gives; pi has no
+    # small complex, so only the Euler check can notice
+    eng = _engine(pi_presentation(FIELD))
+    hh_dim = type(eng.bar).hh_dim
+    monkeypatch.setattr(
+        type(eng.bar), "hh_dim", lambda self, n: hh_dim(self, n) + (n == 1)
+    )
+    with pytest.raises(ConsistencyError, match="Euler"):
+        eng.report()
 
 
 def test_hh0_class_is_unit():
