@@ -170,7 +170,12 @@ def check_rank_transpose(seed):
             m = SparseMatrix(rows, cols, field)
             for _ in range(rng.randint(0, rows * cols)):
                 m.add(rng.randrange(rows), rng.randrange(cols), _rand_scalar(field, rng))
-            assert echelon(m).rank == echelon(m.transpose()).rank
+            res = echelon(m)
+            assert res.rank == echelon(m.transpose()).rank
+            # echelon(m) and echelon(m^T) eliminate the same side of m, so
+            # take the rank off m's rows and off its columns as well
+            assert res.rank == res.row_space.dim
+            assert res.rank == rref(field, list(m.columns().values()), m.nrows).dim
 
 
 def check_quotient_coords(seed):

@@ -247,10 +247,10 @@ class RelativeBarComplex:
         return m
 
     def _echelon(self, n):
-        """(rank, kernel basis) of d^n; the RREF row space is not kept."""
+        """``echelon`` of d^n: ``rank(n)`` reads its rank, ``classes(n)`` its
+        kernel, which is built only then."""
         if n not in self._ech:
-            ech = echelon(self.differential(n))
-            self._ech[n] = ech.rank, ech.kernel
+            self._ech[n] = echelon(self.differential(n))
         return self._ech[n]
 
     def coboundaries(self, n):
@@ -265,7 +265,7 @@ class RelativeBarComplex:
     def rank(self, n):
         if self.dim(n) == 0 or self.dim(n + 1) == 0:
             return 0
-        return self._echelon(n)[0]
+        return self._echelon(n).rank
 
     def hh_dim(self, n):
         if n > self.nmax:
@@ -289,7 +289,7 @@ class RelativeBarComplex:
             basis = []
             if self.dim(n):
                 image = self.coboundaries(n)
-                residues = [image.reduce(v) for v in self._echelon(n)[1].rows]
+                residues = [image.reduce(v) for v in self._echelon(n).kernel.rows]
                 basis = rref(self.field, [r for r in residues if r], self.dim(n)).rows
             # keep the vectors only: a class refers back to this complex, and
             # the cycle would leave the complex to the cyclic garbage collector

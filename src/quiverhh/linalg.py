@@ -8,14 +8,22 @@ the one place that maintains the invariant; ``SubspaceBasis.reduce`` and
 Elimination is ordered for low fill-in, not by the input order: ``rref``
 takes its vectors by leading column, largest first, and only top-reduces each
 one (clears its leading entry against the row already pivoted there, until it
-reaches a new pivot).  One back-substitution from the largest pivot down then
-clears every other pivot out of each row; the rows it subtracts are already
-final when it reaches a row.  The reduced row echelon form of a subspace is
-unique, so the order changes the cost and not the output: every basis, class
-and report is the one plain Gauss-Jordan elimination gives.  Over the
-rationals every entry stays in lowest terms, which bounds coefficient growth
-at the sizes this engine meets; the field keeps an integral entry as an int,
-so the common entries 0 and +-1 never pay for Fraction normalisation.
+reaches a new pivot).  That already fixes the rank and the pivots.  One
+back-substitution from the largest pivot down then clears every other pivot
+out of each row; the rows it subtracts are already final when it reaches a
+row.  It runs only when the basis is read (``rows``, ``reduce``, ``==``), so a
+caller that needs only ``dim`` or ``pivots`` never pays for it.  The reduced
+row echelon form of a subspace is unique, so the order changes the cost and
+not the output: every basis, class and report is the one plain Gauss-Jordan
+elimination gives.  Over the rationals every entry stays in lowest terms,
+which bounds coefficient growth at the sizes this engine meets; the field
+keeps an integral entry as an int, so the common entries 0 and +-1 never pay
+for Fraction normalisation.
+
+``echelon`` eliminates a matrix once, on its shorter side: its rows when it
+has no more rows than columns, its columns otherwise.  Row rank equals column
+rank, so either gives the rank; the row space and the kernel are built from
+the rows only when they are read.
 """
 
 from __future__ import annotations
@@ -100,18 +108,49 @@ class SparseMatrix:
 class SubspaceBasis:
     """Reduced echelon basis of a subspace: row k has 1 at ``pivots[k]`` and 0
     at every other pivot.  ``rref`` pivots each row at its first nonzero
-    column, which makes the basis canonical for the subspace."""
+    column, which makes the basis canonical for the subspace.
+
+    The rows it is built from need only be top-reduced: row k has 1 at
+    ``pivots[k]`` and 0 at every smaller pivot (rows that are already reduced,
+    such as a kernel basis, meet this).  ``dim`` and ``pivots`` are exact at
+    once; the back-substitution that clears each row at the larger pivots runs
+    the first time ``rows``, ``reduce`` or ``==`` is read, and is kept."""
 
     def __init__(self, ambient: int, field, rows=(), pivots=()):
         self.ambient = ambient
         self.field = field
-        self.rows = list(rows)
         self.pivots = list(pivots)
-        self._row_at = dict(zip(self.pivots, self.rows))
+        self._row_at = dict(zip(self.pivots, rows))
+        self._rows = None
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    def _reduced(self):
+        """{pivot: reduced row}, back-substituted on the first call.
+
+        From the largest pivot down, the row of pivot p gets 0 at every other
+        pivot.  Those pivots are all larger than p, and their rows are already
+        reduced when p is reached, so subtracting one of them clears its pivot
+        and adds entries at non-pivot columns only."""
+        if self._rows is None:
+            f, row_at = self.field, self._row_at
+            for piv in sorted(row_at, reverse=True):
+                row = row_at[piv]
+                later = [k for k in row if k != piv and k in row_at]
+                if later:
+                    row_at[piv] = out = dict(row)
+                    for k in later:
+                        vec_iadd(f, out, row_at[k], f.neg(row[k]))
+            self._rows = [row_at[p] for p in self.pivots]
+        return self._row_at
+
+    @property
+    def rows(self):
+        """The reduced rows, in pivot order."""
+        self._reduced()
+        return self._rows
 
     def reduce(self, v: dict) -> dict:
         """Canonical representative of v modulo this subspace.
@@ -123,7 +162,7 @@ class SubspaceBasis:
         walk over every row."""
         f = self.field
         out = _entry_vector(f, v, self.ambient)
-        row_at = self._row_at
+        row_at = self._reduced()
         for piv in sorted(k for k in out if k in row_at):
             vec_iadd(f, out, row_at[piv], f.neg(out[piv]))
         return out
@@ -160,12 +199,9 @@ def rref(field, vectors, ambient):
 
     The vectors are copied one at a time, taken by leading column, largest
     first.  Each is top-reduced against the rows pivoted so far until its
-    leading column is a new pivot, where it is scaled to 1.  Back-substitution
-    then runs once, from the largest pivot down, and makes the basis reduced:
-    the row of pivot p gets 0 at every other pivot.  Those pivots are all
-    larger than p, and their rows are already reduced when p is reached, so
-    subtracting one of them clears its pivot and adds entries at non-pivot
-    columns only."""
+    leading column is a new pivot, where it is scaled to 1.  The basis is
+    built from these top-reduced rows; its back-substitution waits until the
+    rows are read."""
     rows = {}
     for v in sorted((v for v in vectors if v), key=min, reverse=True):
         v = _entry_vector(field, v, ambient)
@@ -177,44 +213,61 @@ def rref(field, vectors, ambient):
                 break
             vec_iadd(field, v, row, field.neg(v[piv]))
     pivots = sorted(rows)
-    for piv in reversed(pivots):
-        row = rows[piv]
-        later = [k for k in row if k != piv and k in rows]
-        if later:
-            rows[piv] = out = dict(row)
-            for k in later:
-                vec_iadd(field, out, rows[k], field.neg(row[k]))
     return SubspaceBasis(ambient, field, [rows[p] for p in pivots], pivots)
 
 
 class EchelonResult:
-    __slots__ = ("rank", "row_space", "kernel")
+    """Rank, RREF row-space basis and kernel basis of a matrix.
 
-    def __init__(self, rank, row_space, kernel):
+    ``rank`` is exact at once.  ``row_space`` is the basis ``echelon``
+    eliminated when that was the rows; otherwise it is eliminated from the
+    rows on first read.  ``kernel`` is read off ``row_space`` on first read."""
+
+    __slots__ = ("rank", "_m", "_row_space", "_kernel")
+
+    def __init__(self, rank, m, row_space=None):
         self.rank = rank
-        self.row_space = row_space
-        self.kernel = kernel
+        self._m = m
+        self._row_space = row_space
+        self._kernel = None
+
+    @property
+    def row_space(self):
+        if self._row_space is None:
+            m = self._m
+            self._row_space = rref(m.field, m.rows(), m.ncols)
+        return self._row_space
+
+    @property
+    def kernel(self):
+        """One vector per free column c: 1 at c and minus the entries of
+        column c at the row-space pivots, read in one pass over the rows.  It
+        is reduced on the free columns (1 at its own, 0 at every other), which
+        serve as its pivots."""
+        if self._kernel is None:
+            m, row_space = self._m, self.row_space
+            f = m.field
+            pivset = set(row_space.pivots)
+            kernel = {c: {c: f.one()} for c in range(m.ncols) if c not in pivset}
+            # every entry of a reduced row off its pivot sits in a free column
+            for row, piv in zip(row_space.rows, row_space.pivots):
+                for c, x in row.items():
+                    if c != piv:
+                        kernel[c][piv] = f.neg(x)
+            self._kernel = SubspaceBasis(m.ncols, f, kernel.values(), kernel)
+        return self._kernel
 
 
 def echelon(m: SparseMatrix) -> EchelonResult:
-    """Exact rank, RREF row-space basis, and kernel basis of m.
-
-    The kernel has one vector per free column c: 1 at c and minus the entries
-    of column c at the row-space pivots, read in one pass over the rows.  It
-    is reduced on the free columns (1 at its own, 0 at every other), which
-    serve as its pivots."""
+    """Exact rank of m from one elimination, on m's shorter side: its rows
+    when ``nrows <= ncols``, its columns otherwise.  The row space and the
+    kernel are built from m only when read (see ``EchelonResult``), so m must
+    not change in between."""
     f = m.field
-    row_space = rref(f, m.rows(), m.ncols)
-    pivset = set(row_space.pivots)
-    kernel = {c: {c: f.one()} for c in range(m.ncols) if c not in pivset}
-    # every entry of a reduced row off its pivot sits in a free column
-    for row, piv in zip(row_space.rows, row_space.pivots):
-        for c, x in row.items():
-            if c != piv:
-                kernel[c][piv] = f.neg(x)
-    return EchelonResult(
-        row_space.dim, row_space, SubspaceBasis(m.ncols, f, kernel.values(), kernel)
-    )
+    if m.nrows <= m.ncols:
+        row_space = rref(f, m.rows(), m.ncols)
+        return EchelonResult(row_space.dim, m, row_space)
+    return EchelonResult(rref(f, m.columns().values(), m.nrows).dim, m)
 
 
 def column_space(m: SparseMatrix) -> SubspaceBasis:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverhh import linalg
 from quiverhh.dsl import parse_presentation
 from quiverhh.errors import ConsistencyError, EngineError
 from quiverhh.families import (
@@ -469,7 +470,7 @@ def test_classes_beyond_window_rejected():
 def test_hh1_basis_built_once_for_both_products(monkeypatch):
     eng = _engine(p1p1_presentation(FIELD, PsiTensor.zero(FIELD)))
     bar = eng.bar
-    kernel = bar._echelon(1)[1].rows
+    kernel = bar._echelon(1).kernel.rows
     image = bar.coboundaries(1)
     reduce = image.reduce
     reduced = []
@@ -483,6 +484,28 @@ def test_hh1_basis_built_once_for_both_products(monkeypatch):
     assert eng.cup_rank() == (9, True)
     assert eng.bracket_rank() == 6
     assert len(reduced) == len(kernel) > 0
+
+
+def test_exterior_report_eliminates_each_differential_on_its_shorter_side(monkeypatch):
+    # C^n has 4*3^n coordinates, so every d^n is tall: d6 is 8748 x 2916 and
+    # 6568 of its rows would reduce to zero, against 736 of its columns.  The
+    # only vectors eliminated in k^2916 are then d5's at most 972 columns.
+    sizes = []
+    real_rref = linalg.rref
+
+    def recording_rref(field, vectors, ambient):
+        vectors = list(vectors)
+        sizes.append((ambient, len(vectors)))
+        return real_rref(field, vectors, ambient)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    eng = _engine(parse_presentation(EXTERIOR_TEXT), nmax=6)
+    assert eng.bar.differential(6).nrows == 8748
+    assert eng.report().dims == (2, 4, 6, 8, 10, 12, 14)
+    eng.cup_rank()
+    eng.bracket_rank()
+    assert all(count <= 972 for ambient, count in sizes if ambient == 2916)
+    assert [ambient for ambient, _ in sizes].count(8748) == 1
 
 
 def test_each_hh1_class_decoded_once_per_product_rank(monkeypatch):

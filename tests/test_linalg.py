@@ -69,6 +69,10 @@ def test_rank_nullity_random():
             res = echelon(m)
             assert res.rank + res.kernel.dim == cols
             assert res.rank == echelon(m.transpose()).rank
+            # echelon(m) and echelon(m^T) eliminate the same side of m, so
+            # take the rank off m's rows and off its columns as well
+            assert res.rank == res.row_space.dim
+            assert res.rank == rref(field, list(m.columns().values()), m.nrows).dim
             for v in res.kernel.rows:
                 assert not m.apply(v)
 
@@ -294,16 +298,30 @@ def test_rref_matches_gauss_jordan_in_any_order(case):
 
 @given(_vector_lists())
 def test_echelon_matches_gauss_jordan(case):
+    # m and its transpose: where they are not square one of them is tall, and
+    # echelon eliminates its columns and builds the row space when it is read
     field, ambient, vectors, probe, _ = case
     m = SparseMatrix(len(vectors), ambient, field)
     for r, v in enumerate(vectors):
         for c, x in v.items():
             m.add(r, c, x)
-    res = echelon(m)
-    assert res.row_space == _reference_rref(field, m.rows(), ambient)
-    assert res.kernel == _reference_kernel(m, res.row_space)
-    assert res.kernel.reduce(probe) == _reference_reduce(res.kernel, probe)
-    assert res.row_space.reduce(probe) == _reference_reduce(res.row_space, probe)
+    for mat in (m, m.transpose()):
+        want = _reference_rref(field, mat.rows(), mat.ncols)
+        v = {k: x for k, x in probe.items() if k < mat.ncols}
+        reads = [
+            lambda space: space.rows == want.rows,
+            lambda space: space.reduce(v) == _reference_reduce(want, v),
+            lambda space: space == want,
+        ]
+        for first in range(len(reads)):
+            # dim and pivots are exact before the back-substitution; each
+            # read in turn comes first and runs it
+            res = echelon(mat)
+            space = res.row_space
+            assert (res.rank, space.dim, space.pivots) == (want.dim, want.dim, want.pivots)
+            assert all(read(space) for read in reads[first:] + reads[:first])
+        assert res.kernel == _reference_kernel(mat, want)
+        assert res.kernel.reduce(v) == _reference_reduce(res.kernel, v)
 
 
 def _torus_grid(n):
